@@ -8,13 +8,7 @@ calibration (CCCP) repairs that at the price of larger sets.
 
 import numpy as np
 
-from sscuq import (
-    CalibrationSet,
-    cccp_calibrate,
-    cccp_predict_batch,
-    scp_calibrate,
-    scp_predict_batch,
-)
+from sscuq import CalibrationSet, cccp_calibrate, scp_calibrate
 from sscuq.rng import derive_seed
 from sscuq.synth import classify_labels, default_classifier_spec, draw_labels
 
@@ -33,10 +27,10 @@ print("calibration class counts:",
 # ---------------------------------------------------------------------------
 # 1. SCP: one quantile, marginal coverage only
 # ---------------------------------------------------------------------------
-q = scp_calibrate(cal, alpha=0.1)
-member = scp_predict_batch(test_probs, q)
+scp = scp_calibrate(cal, alpha=0.1)
+_, member = scp.predict(test_probs)
 covered = member[np.arange(test_labels.size), test_labels - 1]
-print(f"\nSCP quantile {q:.4f}: marginal coverage {covered.mean():.4f} (target 0.90)")
+print(f"\nSCP quantile {scp.q:.4f}: marginal coverage {covered.mean():.4f} (target 0.90)")
 for y in range(1, 6):
     sel = test_labels == y
     print(f"  {NAMES[y]:9s} coverage {covered[sel].mean():.3f} over {int(sel.sum())} voxels")
@@ -46,10 +40,10 @@ print("  -> the marginal average hides a collapsed person-class coverage")
 # 2. CCCP: one quantile per class, fair but bulkier
 # ---------------------------------------------------------------------------
 alpha = {1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1, 5: 0.2}
-qs = cccp_calibrate(cal, alpha)
-member_c = cccp_predict_batch(test_probs, qs)
+cccp = cccp_calibrate(cal, alpha)
+_, member_c = cccp.predict(test_probs)
 print("\nCCCP per-class quantiles:",
-      {NAMES[y]: round(qv, 3) for y, qv in qs.items()})
+      {NAMES[y]: round(qv, 3) for y, qv in cccp.q.items()})
 for y in range(1, 6):
     sel = test_labels == y
     cov = member_c[sel, y - 1].mean()

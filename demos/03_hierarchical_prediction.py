@@ -9,6 +9,7 @@ model JSON the way the CLI does.
 """
 
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -18,18 +19,14 @@ from sscuq import (
     HcpConfig,
     avg_size,
     cccp_calibrate,
-    cccp_predict_batch,
     cov_gap,
     default_classifier_spec,
     default_scene_spec,
     generate_scene,
     hcp_calibrate,
-    hcp_grid_predict,
-    hcp_predict_batch,
     load_model,
     save_model,
     scp_calibrate,
-    scp_predict_batch,
     split_mask,
     synth_classifier,
 )
@@ -64,7 +61,7 @@ print("split semantic rates alpha_s:",
 # ---------------------------------------------------------------------------
 # 1. What the gate does
 # ---------------------------------------------------------------------------
-occ, member = hcp_predict_batch(test_probs, model)
+occ, member = model.predict(test_probs)
 print(f"\ngate predicts {int(occ.sum())} of {occ.size} test voxels occupied "
       f"({occ.mean():.1%}; true occupancy {np.mean(test_labels >= 2):.1%})")
 for y, name in NAMES.items():
@@ -74,10 +71,9 @@ for y, name in NAMES.items():
 # ---------------------------------------------------------------------------
 # 2. Class-conditional coverage and set sizes vs the baselines
 # ---------------------------------------------------------------------------
-q = scp_calibrate(cal, 0.1)
-scp_member = scp_predict_batch(test_probs, q)
-qs = cccp_calibrate(cal, dict(ALPHA) | {1: 0.1})
-cccp_member = cccp_predict_batch(test_probs, qs)
+# every calibrator returns a model with the same predict(probs) -> (occ, member)
+_, scp_member = scp_calibrate(cal, 0.1).predict(test_probs)
+_, cccp_member = cccp_calibrate(cal, dict(ALPHA) | {1: 0.1}).predict(test_probs)
 
 print(f"\n{'':12s}{'CovGap':>8s}{'AvgSize':>9s}")
 for name, mem in (("SCP", scp_member), ("CCCP", cccp_member), ("HCP", member)):
@@ -94,13 +90,15 @@ for y, name in NAMES.items():
 # ---------------------------------------------------------------------------
 # 3. Grid application and model persistence
 # ---------------------------------------------------------------------------
-occ_grid, member_grid = hcp_grid_predict(softmax, model)
-print(f"\ngrid prediction: occupancy layer marks {int(occ_grid.values.sum())} voxels; "
+# predict takes any (..., M) array, so the whole grid goes in at once
+occ_grid, member_grid = model.predict(softmax.probs)
+print(f"\ngrid prediction: occupancy layer marks {int(occ_grid.sum())} voxels; "
       f"membership array shape {member_grid.shape}")
 
-with tempfile.NamedTemporaryFile("r", suffix=".json", delete=False) as fh:
-    save_model(model, fh.name)
-    doc = json.load(open(fh.name))
-    print("model JSON keys:", sorted(doc))
-    assert load_model(fh.name) == model
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "model.json")
+    save_model(model, path)
+    with open(path) as fh:
+        print("model JSON keys:", sorted(json.load(fh)))
+    assert load_model(path) == model
 print("model round-trips through JSON (infinities encoded as the string 'inf')")

@@ -41,15 +41,11 @@ from .conformal import (
     DegeneracyWarning,
     HcpConfig,
     HcpModel,
-    PredictionSet,
     ScpModel,
     cccp_calibrate,
-    cccp_predict,
-    cccp_predict_batch,
+    class_quantiles,
     conformal_quantile,
     hcp_calibrate,
-    hcp_grid_predict,
-    hcp_predict,
     hcp_predict_batch,
     load_model,
     save_model,
@@ -57,8 +53,6 @@ from .conformal import (
     score_kl,
     score_occupied,
     scp_calibrate,
-    scp_predict,
-    scp_predict_batch,
     split_alpha,
 )
 from .metrics import (
@@ -67,12 +61,9 @@ from .metrics import (
     SweepRow,
     avg_size,
     cov_gap,
-    geometry_metrics,
     geometry_metrics_from_masks,
-    occupied_recall,
     occupied_recall_flat,
     recall_iou_sweep,
-    semantic_miou,
     semantic_miou_flat,
 )
 from .synth import (

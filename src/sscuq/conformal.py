@@ -1,6 +1,9 @@
 """Split conformal prediction for voxel classification, flat and hierarchical.
 
-Three calibration schemes share the same scores and quantile rule:
+Three calibration schemes share the same scores and quantile rule.  Each
+calibrator returns a model whose ``predict(probs)`` gives (occupied
+flags, membership matrix), and ``save_model``/``load_model`` persist any
+of the three models as JSON:
 
 * SCP: one quantile of ``1 - f_y`` over all calibration records, giving
   marginal coverage.
@@ -13,7 +16,7 @@ Three calibration schemes share the same scores and quantile rule:
   stages compose to the requested class-conditional coverage.
 
 Class labels are 1-based; class 1 is the empty class and never appears
-in a prediction set (the empty set itself encodes "empty").
+in an HCP prediction set (the empty set itself encodes "empty").
 """
 
 from __future__ import annotations
@@ -21,26 +24,19 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 from scipy import special
 
-from .grids import (
-    BinaryOccupancyGrid,
-    LabelGrid,
-    SoftmaxGrid,
-    SOFTMAX_SUM_TOL,
-    ValidationError,
-)
+from .container import atomic_write
+from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError
 
 __all__ = [
     "DegeneracyWarning",
     "CalibrationSet",
-    "PredictionSet",
     "HcpConfig",
     "HcpModel",
     "ScpModel",
@@ -49,17 +45,12 @@ __all__ = [
     "score_occupied",
     "score_kl",
     "conformal_quantile",
+    "class_quantiles",
     "split_alpha",
     "scp_calibrate",
-    "scp_predict",
-    "scp_predict_batch",
     "cccp_calibrate",
-    "cccp_predict",
-    "cccp_predict_batch",
     "hcp_calibrate",
-    "hcp_predict",
     "hcp_predict_batch",
-    "hcp_grid_predict",
     "save_model",
     "load_model",
 ]
@@ -202,51 +193,146 @@ class CalibrationSet:
         return cls(probs, labs)
 
 
+def class_quantiles(score, cal: CalibrationSet, alpha: Mapping[int, float]) -> dict[int, float]:
+    """For each class y in ``alpha``, the conformal quantile at rate
+    ``alpha[y]`` of ``score(f, y)`` over the vectors f labeled y.
+
+    A class with too few records gets +inf and raises a DegeneracyWarning.
+    """
+    quantiles = {}
+    for y, a in alpha.items():
+        scores = score(cal.probs[cal.labels == y], y)
+        quantiles[y] = conformal_quantile(scores, a)
+        if quantiles[y] == math.inf:
+            warnings.warn(
+                f"class {y} has too few calibration records ({scores.size}) for "
+                f"alpha={a}; its quantile is +inf",
+                DegeneracyWarning,
+                stacklevel=3,
+            )
+    return quantiles
+
+
+# ---------------------------------------------------------------------------
+# calibrated models
+#
+# A model's dataclass fields are its whole persistent state: save_model and
+# load_model derive the JSON document from the field annotations.
+
+
+def _require_classes(name: str, values: Mapping[int, float], classes) -> None:
+    if set(values) != set(classes):
+        raise ValidationError(f"model field {name!r} must cover exactly classes {sorted(classes)}")
+
+
+def _quantile_row(quantiles: Mapping[int, float], class_count: int) -> np.ndarray:
+    row = np.full(class_count, -np.inf)
+    for y, q in quantiles.items():
+        row[y - 1] = q
+    return row
+
+
 @dataclass(frozen=True)
-class PredictionSet:
-    """Subset of the nonempty classes; empty means "predicted empty"."""
+class _Model:
+    class_count: int
 
-    classes: frozenset[int] = field(default_factory=frozenset)
+    def _probs(self, probs) -> np.ndarray:
+        probs = _check_softmax(probs)
+        if probs.shape[-1] != self.class_count:
+            raise ValidationError(
+                f"vectors have {probs.shape[-1]} classes, model {self.class_count}"
+            )
+        return probs
 
-    def __post_init__(self):
-        classes = frozenset(int(y) for y in self.classes)
-        if any(y < 2 for y in classes):
-            raise ValidationError("prediction sets never contain the empty class")
-        object.__setattr__(self, "classes", classes)
+    def predict(self, probs):
+        """(occupied, member) for vectors (..., M): class y, the empty class
+        included, is in a set iff ``1 - f_y`` is within its quantile, and a
+        vector is occupied iff its set holds a nonempty class."""
+        member = 1.0 - self._probs(probs) <= self._quantiles()
+        return member[..., 1:].any(axis=-1), member
 
-    def __contains__(self, y: int) -> bool:
-        return y in self.classes
 
-    def __len__(self) -> int:
-        return len(self.classes)
+@dataclass(frozen=True)
+class ScpModel(_Model):
+    """SCP: one marginal quantile ``q`` of 1 - f_y at error rate ``alpha``."""
+
+    alpha: float
+    q: float
+
+    def _quantiles(self):
+        return self.q
 
     @property
-    def is_empty_class(self) -> bool:
-        return not self.classes
+    def target_rates(self) -> dict[int, float]:
+        return {y: self.alpha for y in range(2, self.class_count + 1)}
+
+
+@dataclass(frozen=True)
+class CccpModel(_Model):
+    """CCCP: a quantile ``q[y]`` of 1 - f_y at rate ``alpha[y]`` per class 1..M."""
+
+    alpha: Mapping[int, float]
+    q: Mapping[int, float]
+
+    def __post_init__(self):
+        _require_classes("q", self.q, range(1, self.class_count + 1))
+
+    def _quantiles(self):
+        return _quantile_row(self.q, self.class_count)
+
+    @property
+    def target_rates(self) -> dict[int, float]:
+        return {y: a for y, a in self.alpha.items() if y >= 2}
+
+
+@dataclass(frozen=True)
+class HcpModel(_Model):
+    """Calibrated hierarchical model: gate quantiles plus semantic state."""
+
+    rare_set: frozenset[int]
+    epsilon: float
+    q_o: Mapping[int, float]
+    alpha_o: Mapping[int, float]
+    alpha_s: Mapping[int, float]
+    q_s: Mapping[int, float]
+    alpha_target: Mapping[int, float]
+
+    def __post_init__(self):
+        if not self.rare_set:
+            raise ValidationError("model field 'rare_set' must be non-empty")
+        _require_classes("q_o", self.q_o, self.rare_set)
+        _require_classes("q_s", self.q_s, range(2, self.class_count + 1))
+
+    @property
+    def gate_threshold(self) -> float:
+        """A vector is predicted occupied iff its KL score is <= this."""
+        return max(self.q_o.values())
+
+    @property
+    def target_rates(self) -> dict[int, float]:
+        """Target error rate of each nonempty class."""
+        return {y: a for y, a in self.alpha_target.items() if y >= 2}
+
+    def predict(self, probs):
+        """(occupied, member) for vectors (..., M): a vector whose KL score
+        passes the gate gets ``{y >= 2: 1 - f_y <= q_s[y]}``, any other
+        vector the empty set."""
+        probs = self._probs(probs)
+        occ = score_kl(probs, self.epsilon) <= self.gate_threshold
+        member = 1.0 - probs <= _quantile_row(self.q_s, self.class_count)
+        member[..., 0] = False
+        member &= occ[..., None]
+        return occ, member
 
 
 # ---------------------------------------------------------------------------
 # SCP / CCCP baselines
 
 
-def scp_calibrate(cal: CalibrationSet, alpha: float) -> float:
+def scp_calibrate(cal: CalibrationSet, alpha: float) -> ScpModel:
     """Marginal quantile of true-class scores 1 - f_Y."""
-    if cal.n == 0:
-        return conformal_quantile(np.empty(0), alpha)
     scores = 1.0 - cal.probs[np.arange(cal.n), cal.labels - 1]
-    return conformal_quantile(scores, alpha)
-
-
-def scp_predict_batch(probs: np.ndarray, q: float) -> np.ndarray:
-    """Membership matrix {y: 1 - f_y <= q} over all classes including empty."""
-    probs = _check_softmax(probs)
-    return 1.0 - probs <= q
-
-
-def scp_predict(f, q: float) -> set[int]:
-    """Set over {1..M} for one vector."""
-    member = scp_predict_batch(np.asarray(f)[None, :], q)[0]
-    return set((np.nonzero(member)[0] + 1).tolist())
+    return ScpModel(class_count=cal.class_count, alpha=alpha, q=conformal_quantile(scores, alpha))
 
 
 def _alpha_map(alpha, classes) -> dict[int, float]:
@@ -258,7 +344,7 @@ def _alpha_map(alpha, classes) -> dict[int, float]:
     return {y: float(alpha) for y in classes}
 
 
-def cccp_calibrate(cal: CalibrationSet, alpha) -> dict[int, float]:
+def cccp_calibrate(cal: CalibrationSet, alpha) -> CccpModel:
     """Per-class quantiles of 1 - f_y over each class's own records.
 
     ``alpha`` is a single rate or a mapping {class: rate} covering every
@@ -266,38 +352,8 @@ def cccp_calibrate(cal: CalibrationSet, alpha) -> dict[int, float]:
     (always included) and raise a DegeneracyWarning.
     """
     rates = _alpha_map(alpha, range(1, cal.class_count + 1))
-    quantiles: dict[int, float] = {}
-    for y in range(1, cal.class_count + 1):
-        sel = cal.labels == y
-        scores = 1.0 - cal.probs[sel, y - 1]
-        quantiles[y] = conformal_quantile(scores, rates[y])
-        if quantiles[y] == math.inf:
-            warnings.warn(
-                f"class {y} has too few calibration records ({scores.size}) for "
-                f"alpha={rates[y]}; its quantile is +inf",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-    return quantiles
-
-
-def _quantile_row(quantiles: Mapping[int, float], class_count: int) -> np.ndarray:
-    row = np.full(class_count, -np.inf)
-    for y, q in quantiles.items():
-        row[y - 1] = q
-    return row
-
-
-def cccp_predict_batch(probs: np.ndarray, quantiles: Mapping[int, float]) -> np.ndarray:
-    """Membership matrix {y: 1 - f_y <= q_y}; classes without a quantile
-    are never included."""
-    probs = _check_softmax(probs)
-    return 1.0 - probs <= _quantile_row(quantiles, probs.shape[-1])[None, :]
-
-
-def cccp_predict(f, quantiles: Mapping[int, float]) -> set[int]:
-    member = cccp_predict_batch(np.asarray(f)[None, :], quantiles)[0]
-    return set((np.nonzero(member)[0] + 1).tolist())
+    quantiles = class_quantiles(score_class, cal, rates)
+    return CccpModel(class_count=cal.class_count, alpha=rates, q=quantiles)
 
 
 # ---------------------------------------------------------------------------
@@ -346,51 +402,6 @@ class HcpConfig:
         object.__setattr__(self, "alpha_target", alpha_t)
 
 
-@dataclass(frozen=True)
-class HcpModel:
-    """Calibrated hierarchical model: gate quantiles plus semantic state."""
-
-    class_count: int
-    rare_set: frozenset[int]
-    epsilon: float
-    q_o: Mapping[int, float]
-    alpha_o: Mapping[int, float]
-    alpha_s: Mapping[int, float]
-    q_s: Mapping[int, float]
-    alpha_target: Mapping[int, float]
-
-    @property
-    def gate_threshold(self) -> float:
-        """A vector is predicted occupied iff its KL score is <= this."""
-        return max(self.q_o.values())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": "hcp",
-            "class_count": self.class_count,
-            "rare_set": sorted(self.rare_set),
-            "epsilon": self.epsilon,
-            "q_o": _encode_rates(self.q_o),
-            "alpha_o": _encode_rates(self.alpha_o),
-            "alpha_s": _encode_rates(self.alpha_s),
-            "q_s": _encode_rates(self.q_s),
-            "alpha_target": _encode_rates(self.alpha_target),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "HcpModel":
-        return cls(
-            class_count=int(doc["class_count"]),
-            rare_set=frozenset(int(y) for y in doc["rare_set"]),
-            epsilon=float(doc["epsilon"]),
-            q_o=_decode_rates(doc["q_o"]),
-            alpha_o=_decode_rates(doc["alpha_o"]),
-            alpha_s=_decode_rates(doc["alpha_s"]),
-            q_s=_decode_rates(doc["q_s"]),
-            alpha_target=_decode_rates(doc["alpha_target"]),
-        )
-
-
 def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
     """Two-level calibration.
 
@@ -409,22 +420,10 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
         raise ValidationError(
             f"calibration has {cal.class_count} classes, config {cfg.class_count}"
         )
-    skl = score_kl(cal.probs, cfg.epsilon)
-
-    q_o: dict[int, float] = {}
-    for y in sorted(cfg.rare_set):
-        scores = skl[cal.labels == y]
-        q_o[y] = conformal_quantile(scores, cfg.alpha_o[y])
-        if q_o[y] == math.inf:
-            warnings.warn(
-                f"rare class {y} has too few calibration records ({scores.size}) "
-                f"for alpha_o={cfg.alpha_o[y]}; gate quantile is +inf",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-
-    gate = max(q_o.values())
-    gated = skl <= gate
+    q_o = class_quantiles(
+        lambda f, y: score_kl(f, cfg.epsilon), cal, dict(sorted(cfg.alpha_o.items()))
+    )
+    gated = score_kl(cal.probs, cfg.epsilon) <= max(q_o.values())
 
     alpha_o: dict[int, float] = {}
     alpha_s: dict[int, float] = {}
@@ -469,94 +468,22 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
 
 
 def hcp_predict_batch(probs: np.ndarray, model: HcpModel):
-    """Vectorized prediction: (occupied flags, membership matrix).
-
-    A row whose KL score exceeds the gate threshold gets the empty set;
-    otherwise class y is included iff ``1 - f_y <= q_s[y]``.  Column 0
-    (the empty class) is always False.
-    """
-    probs = _check_softmax(probs)
-    if probs.shape[-1] != model.class_count:
-        raise ValidationError(
-            f"vectors have {probs.shape[-1]} classes, model {model.class_count}"
-        )
-    occ = score_kl(probs, model.epsilon) <= model.gate_threshold
-    member = 1.0 - probs <= _quantile_row(model.q_s, model.class_count)[None, :]
-    member[:, 0] = False
-    member &= occ[:, None]
-    return occ, member
-
-
-def hcp_predict(f, model: HcpModel) -> PredictionSet:
-    """Prediction set for a single softmax vector."""
-    occ, member = hcp_predict_batch(np.asarray(f)[None, :], model)
-    return PredictionSet(frozenset((np.nonzero(member[0])[0] + 1).tolist()))
-
-
-def hcp_grid_predict(grid: SoftmaxGrid, model: HcpModel):
-    """Apply the model voxelwise: (BinaryOccupancyGrid, membership array).
-
-    The membership array has shape dims + (M,) with ``[..., y-1]`` true
-    iff class y is in that voxel's prediction set.
-    """
-    if grid.class_count != model.class_count:
-        raise ValidationError(
-            f"grid has {grid.class_count} classes, model {model.class_count}"
-        )
-    occ, member = hcp_predict_batch(grid.flat(), model)
-    dims = grid.dims
-    return (
-        BinaryOccupancyGrid(occ.reshape(dims).astype(np.uint8)),
-        member.reshape(dims + (model.class_count,)),
-    )
+    """``model.predict(probs)``: (occupied flags, membership matrix)."""
+    return model.predict(probs)
 
 
 # ---------------------------------------------------------------------------
-# baseline model wrappers and JSON persistence
-
-
-@dataclass(frozen=True)
-class ScpModel:
-    class_count: int
-    alpha: float
-    q: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": "scp",
-            "class_count": self.class_count,
-            "alpha": self.alpha,
-            "q": _encode_value(self.q),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ScpModel":
-        return cls(int(doc["class_count"]), float(doc["alpha"]), _decode_value(doc["q"]))
-
-
-@dataclass(frozen=True)
-class CccpModel:
-    class_count: int
-    alpha: Mapping[int, float]
-    q: Mapping[int, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "method": "cccp",
-            "class_count": self.class_count,
-            "alpha": _encode_rates(self.alpha),
-            "q": _encode_rates(self.q),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CccpModel":
-        return cls(int(doc["class_count"]), _decode_rates(doc["alpha"]), _decode_rates(doc["q"]))
+# JSON persistence: one codec for every model, driven by its field annotations
 
 
 def _encode_value(v: float):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return v
+
+
+def _encode_rates(d: Mapping[int, float]) -> dict:
+    return {str(y): _encode_value(v) for y, v in sorted(d.items())}
 
 
 def _decode_value(v) -> float:
@@ -567,40 +494,54 @@ def _decode_value(v) -> float:
     return float(v)
 
 
-def _encode_rates(d: Mapping[int, float]) -> dict:
-    return {str(y): _encode_value(v) for y, v in sorted(d.items())}
-
-
 def _decode_rates(d: Mapping) -> dict[int, float]:
     return {int(y): _decode_value(v) for y, v in d.items()}
 
 
-def save_model(model, path, extra: dict | None = None) -> None:
-    """Write a model (HCP, SCP, or CCCP) as a JSON document."""
-    doc = model.to_json_dict()
-    if extra:
-        doc.update(extra)
-    data = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(prefix=".model-", dir=os.path.dirname(path) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
+# field annotation (a string under postponed evaluation) -> (encode, decode)
+_FIELD_CODECS = {
+    "int": (int, int),
+    "float": (_encode_value, _decode_value),
+    "frozenset[int]": (sorted, lambda v: frozenset(int(y) for y in v)),
+    "Mapping[int, float]": (_encode_rates, _decode_rates),
+}
 _MODEL_TYPES = {"hcp": HcpModel, "scp": ScpModel, "cccp": CccpModel}
+_METHODS = {cls: method for method, cls in _MODEL_TYPES.items()}
+
+
+def save_model(model, path, extra: dict | None = None) -> None:
+    """Write a model (HCP, SCP, or CCCP) as a JSON document.
+
+    ``extra`` keys are merged into the document; the write is atomic.
+    """
+    doc = {"method": _METHODS[type(model)]}
+    for f in fields(model):
+        doc[f.name] = _FIELD_CODECS[f.type][0](getattr(model, f.name))
+    doc.update(extra or {})
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path):
-    """Read a model JSON document written by save_model."""
+    """Read a model JSON document written by save_model.
+
+    A malformed document raises ValidationError naming the field.
+    """
     with open(os.fspath(path)) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"model JSON must be an object, got {type(doc).__name__}")
     method = doc.get("method")
-    if method not in _MODEL_TYPES:
-        raise ValueError(f"unknown model method {method!r}")
-    return _MODEL_TYPES[method].from_json_dict(doc)
+    cls = _MODEL_TYPES.get(method) if isinstance(method, str) else None
+    if cls is None:
+        raise ValidationError(
+            f"model field 'method' must be one of {sorted(_MODEL_TYPES)}, got {method!r}"
+        )
+    values = {}
+    for f in fields(cls):
+        if f.name not in doc:
+            raise ValidationError(f"model field {f.name!r} is missing")
+        try:
+            values[f.name] = _FIELD_CODECS[f.type][1](doc[f.name])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"model field {f.name!r} is malformed: {exc}") from None
+    return cls(**values)

@@ -110,9 +110,8 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
     """Serialize a grid object to an SSCG container at ``path``.
 
     ``geometry`` optionally stamps voxel_edge and origin into the header
-    of voxel-grid kinds; it is ignored for depth kinds.  The write goes
-    to a temporary file in the target directory and is renamed into
-    place, so no partial file is ever visible.
+    of voxel-grid kinds; it is ignored for depth kinds.  The write is
+    atomic (see ``atomic_write``).
     """
     header = _header_for(grid)
     is_voxel = header["kind"] in ("prob_occupancy", "binary_occupancy", "softmax", "labels")
@@ -133,12 +132,22 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
             payload,
         ]
     )
+    atomic_write(path, blob)
+
+
+def atomic_write(path, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to a temporary file in the target
+    directory, then rename it to ``path``: no partial file is ever visible,
+    and a failed write removes the temporary file.  The file gets the
+    permissions ``open`` would give it (0o666 less the umask)."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".sscg-", dir=directory)
+    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,9 +3,8 @@
 Ratios with an empty denominator are reported as None (absent), never 0,
 so aggregates skip them.  Prediction sets are passed as boolean
 membership arrays with a trailing class axis: ``member[..., y-1]`` is
-True iff class y is in the voxel's set.  Grid-typed wrappers are
-provided next to the flat-array forms, which also serve split subsets
-of a grid.
+True iff class y is in the voxel's set.  Metrics take plain arrays, so
+they serve a whole grid (``grid.flat()``) and a split subset alike.
 """
 
 from __future__ import annotations
@@ -15,18 +14,25 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .conformal import CalibrationSet, HcpConfig, conformal_quantile, score_kl
-from .grids import BinaryOccupancyGrid, LabelGrid, SoftmaxGrid
+# conformal_quantile stays importable from this module because
+# benchmarks/tracer.py resolves the name here
+from .conformal import (  # noqa: F401
+    CalibrationSet,
+    HcpConfig,
+    class_quantiles,
+    conformal_quantile,
+    score_class,
+    score_kl,
+    score_occupied,
+)
+from .grids import LabelGrid, SoftmaxGrid
 
 __all__ = [
     "GeometryMetrics",
     "MetricsReport",
     "SweepRow",
-    "geometry_metrics",
     "geometry_metrics_from_masks",
-    "semantic_miou",
     "semantic_miou_flat",
-    "occupied_recall",
     "occupied_recall_flat",
     "cov_gap",
     "avg_size",
@@ -60,13 +66,6 @@ def geometry_metrics_from_masks(pred_occ: np.ndarray, gt_occ: np.ndarray) -> Geo
     )
 
 
-def geometry_metrics(pred: BinaryOccupancyGrid, gt: LabelGrid) -> GeometryMetrics:
-    """Occupancy IoU/precision/recall of a binary grid against labels >= 2."""
-    if pred.dims != gt.dims:
-        raise ValueError(f"dims mismatch: {pred.dims} vs {gt.dims}")
-    return geometry_metrics_from_masks(pred.as_bool(), gt.occupied_mask())
-
-
 def semantic_miou_flat(pred_labels, gt_labels, class_count: int):
     """Per-nonempty-class IoU and their mean over flat label arrays.
 
@@ -92,14 +91,6 @@ def semantic_miou_flat(pred_labels, gt_labels, class_count: int):
     return per_class, (float(np.mean(present)) if present else None)
 
 
-def semantic_miou(pred_labels: LabelGrid, gt: LabelGrid):
-    if pred_labels.dims != gt.dims:
-        raise ValueError(f"dims mismatch: {pred_labels.dims} vs {gt.dims}")
-    if pred_labels.class_count != gt.class_count:
-        raise ValueError("class counts differ")
-    return semantic_miou_flat(pred_labels.flat(), gt.flat(), gt.class_count)
-
-
 def occupied_recall_flat(pred_occ, gt_labels, y: int, class_count: int) -> float | None:
     """Fraction of the class's voxels marked occupied; None if absent."""
     if y == 1:
@@ -110,12 +101,6 @@ def occupied_recall_flat(pred_occ, gt_labels, y: int, class_count: int) -> float
     gt_labels = np.asarray(gt_labels).reshape(-1)
     sel = gt_labels == y
     return _ratio(int(np.count_nonzero(pred_occ & sel)), int(np.count_nonzero(sel)))
-
-
-def occupied_recall(pred_occ: BinaryOccupancyGrid, gt: LabelGrid, y: int) -> float | None:
-    if pred_occ.dims != gt.dims:
-        raise ValueError(f"dims mismatch: {pred_occ.dims} vs {gt.dims}")
-    return occupied_recall_flat(pred_occ.as_bool(), gt.flat(), y, gt.class_count)
 
 
 def _flat_member(member: np.ndarray) -> np.ndarray:
@@ -199,21 +184,18 @@ def recall_iou_sweep(
         probs, labels = probs[eval_mask], labels[eval_mask]
     gt_occ = labels >= 2
     rare = sorted(cfg.rare_set)
-
-    def scores_for(p: np.ndarray, y: int) -> np.ndarray:
-        if score_kind == "kl":
-            return score_kl(p, cfg.epsilon)
-        if score_kind == "occupied":
-            return np.asarray(p, dtype=np.float64)[:, 0]
-        return 1.0 - np.asarray(p, dtype=np.float64)[:, y - 1]
+    score = {
+        "kl": lambda f, y: score_kl(f, cfg.epsilon),
+        "class": score_class,
+        "occupied": lambda f, y: score_occupied(f),
+    }[score_kind]
 
     rows = []
     for target in targets:
-        a_o = 1.0 - target
+        q = class_quantiles(score, cal, dict.fromkeys(rare, 1.0 - target))
         pred_occ = np.zeros(labels.shape[0], dtype=bool)
         for y in rare:
-            q = conformal_quantile(scores_for(cal.probs, y)[cal.labels == y], a_o)
-            pred_occ |= scores_for(probs, y) <= q
+            pred_occ |= score(probs, y) <= q[y]
         recalls = []
         for y in rare:
             r = occupied_recall_flat(pred_occ, labels, y, cfg.class_count)

@@ -10,6 +10,7 @@ so later invocations reuse it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import warnings
@@ -21,21 +22,15 @@ import numpy as np
 from . import rng
 from .conformal import (
     CalibrationSet,
-    CccpModel,
     DegeneracyWarning,
     HcpConfig,
-    HcpModel,
-    ScpModel,
     cccp_calibrate,
-    cccp_predict_batch,
     hcp_calibrate,
-    hcp_predict_batch,
     load_model,
     save_model,
     scp_calibrate,
-    scp_predict_batch,
 )
-from .container import read_grid, write_grid
+from .container import atomic_write, read_grid, write_grid
 from .grids import (
     CameraIntrinsics,
     DepthEstimate,
@@ -129,7 +124,7 @@ class PipelineConfig:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
         """Build a config from a JSON document; absent sections default."""
-        seed = int(doc.get("seed", 0))
+        seed = _number(doc, "seed", 0, "seed", int)
         base = cls.default(seed)
         try:
             geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else base.geometry
@@ -148,11 +143,13 @@ class PipelineConfig:
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         noise = doc.get("noise", {})
-        noise_a = float(noise.get("a", base.noise_a))
-        noise_b = float(noise.get("b", base.noise_b))
+        if not isinstance(noise, Mapping):
+            raise ConfigError(f"noise must be an object, got {noise!r}")
+        noise_a = _number(noise, "a", base.noise_a, "noise.a", float)
+        noise_b = _number(noise, "b", base.noise_b, "noise.b", float)
         if noise_a < 0 or noise_b < 0 or noise_a + noise_b <= 0:
             raise ConfigError("noise.a and noise.b must be >= 0 with a positive sum")
-        split = float(doc.get("split_fraction", base.split_fraction))
+        split = _number(doc, "split_fraction", base.split_fraction, "split_fraction", float)
         if not 0.0 < split < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {split}")
         return cls(
@@ -177,9 +174,19 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_json_dict(doc)
+
+
+def _number(doc: Mapping, key: str, default, name: str, kind) -> float | int:
+    value = doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
 def _parse_geometry(doc: Mapping) -> GridGeometry:
@@ -354,18 +361,9 @@ def run_calibrate(
         warnings.simplefilter("always", DegeneracyWarning)
         if method == "scp":
             alphas = set(cfg.hcp.alpha_target.values())
-            alpha = alphas.pop() if len(alphas) == 1 else 0.1
-            model = ScpModel(
-                class_count=cal.class_count, alpha=alpha, q=scp_calibrate(cal, alpha)
-            )
+            model = scp_calibrate(cal, alphas.pop() if len(alphas) == 1 else 0.1)
         elif method == "cccp":
-            rates = dict(cfg.hcp.alpha_target)
-            rates.setdefault(1, 0.1)
-            model = CccpModel(
-                class_count=cal.class_count,
-                alpha=rates,
-                q=cccp_calibrate(cal, rates),
-            )
+            model = cccp_calibrate(cal, {1: 0.1, **cfg.hcp.alpha_target})
         else:
             model = hcp_calibrate(cal, cfg.hcp)
         notes = [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
@@ -390,36 +388,21 @@ def run_evaluate(
     labels_path: str,
     out_json: str | None = None,
     out_csv: str | None = None,
-    alpha_target: Mapping[int, float] | None = None,
 ) -> dict:
     """Apply a saved model to the test split and report metrics."""
-    with open(model_path) as fh:
-        doc = json.load(fh)
     model = load_model(model_path)
-    split = doc.get("split", {})
-    fraction = float(split.get("fraction", 0.3))
-    seed = int(split.get("seed", 0))
+    with open(model_path) as fh:
+        split = json.load(fh).get("split", {})
+    if not isinstance(split, Mapping):
+        raise ConfigError(f"model field 'split' must be an object, got {split!r}")
+    fraction = _number(split, "fraction", 0.3, "model field split.fraction", float)
+    seed = _number(split, "seed", 0, "model field split.seed", int)
 
     softmax, labels = _load_pair(softmax_path, labels_path)
-    if softmax.class_count != model.class_count:
-        raise ValidationError(
-            f"grid has {softmax.class_count} classes, model {model.class_count}"
-        )
     test = ~split_mask(labels.labels.size, fraction, seed)
     probs = softmax.flat()[test]
     labs = labels.flat()[test]
-
-    if isinstance(model, HcpModel):
-        occ, member = hcp_predict_batch(probs, model)
-        targets = alpha_target or dict(model.alpha_target)
-    elif isinstance(model, CccpModel):
-        member = cccp_predict_batch(probs, model.q)
-        occ = member[:, 1:].any(axis=1)
-        targets = alpha_target or {y: a for y, a in model.alpha.items() if y >= 2}
-    else:
-        member = scp_predict_batch(probs, model.q)
-        occ = member[:, 1:].any(axis=1)
-        targets = alpha_target or {y: model.alpha for y in range(2, model.class_count + 1)}
+    occ, member = model.predict(probs)
 
     gt_occ = labs >= 2
     geom = geometry_metrics_from_masks(occ, gt_occ)
@@ -442,35 +425,31 @@ def run_evaluate(
         per_class_iou=per_class_iou,
         miou=miou,
         occupied_recall=recalls,
-        cov_gap=cov_gap(member, labs, targets) if targets else None,
+        cov_gap=cov_gap(member, labs, model.target_rates),
         avg_size=avg_size(member),
         per_class_coverage=coverage,
     )
     doc = report.to_json_dict()
     if out_json:
-        with open(out_json, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        atomic_write(out_json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if out_csv:
         _write_report_csv(report, model.class_count, out_csv)
     return {"command": "evaluate", "test_records": int(test.sum()), "report": doc}
 
 
+def _write_csv(path: str, rows) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    atomic_write(path, text.getvalue())
+
+
 def _write_report_csv(report: MetricsReport, class_count: int, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "class", "iou", "coverage", "occupied_recall"])
-        for y in range(2, class_count + 1):
-            writer.writerow(
-                [
-                    "class",
-                    y,
-                    report.per_class_iou.get(y),
-                    report.per_class_coverage.get(y),
-                    report.occupied_recall.get(y),
-                ]
-            )
-        writer.writerow(["aggregate", "", report.iou, report.cov_gap, report.avg_size])
+    per_class = (report.per_class_iou, report.per_class_coverage, report.occupied_recall)
+    rows = [["row", "class", "iou", "coverage", "occupied_recall"]]
+    for y in range(2, class_count + 1):
+        rows.append(["class", y, *(d.get(y) for d in per_class)])
+    rows.append(["aggregate", "", report.iou, report.cov_gap, report.avg_size])
+    _write_csv(path, rows)
 
 
 def run_sweep(
@@ -489,10 +468,7 @@ def run_sweep(
         softmax, labels, cal, cfg.hcp, score_kind, targets, eval_mask=~mask
     )
     if out_csv:
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["target_recall", "achieved_recall", "iou"])
-            writer.writerows(rows)
+        _write_csv(out_csv, [["target_recall", "achieved_recall", "iou"], *rows])
     return {
         "command": "sweep",
         "score": score_kind,

@@ -20,11 +20,9 @@ from sscuq.conformal import (
     CalibrationSet,
     HcpConfig,
     cccp_calibrate,
-    cccp_predict_batch,
     hcp_calibrate,
     hcp_predict_batch,
     scp_calibrate,
-    scp_predict_batch,
     conformal_quantile,
     score_kl,
 )
@@ -192,8 +190,7 @@ def test_criterion_3_scp_marginal_coverage(sample_runs):
     hits = 0
     coverages = []
     for cal, test_labels, test_probs in sample_runs:
-        q = scp_calibrate(cal, 0.1)
-        member = scp_predict_batch(test_probs, q)
+        _, member = scp_calibrate(cal, 0.1).predict(test_probs)
         cov = float(member[np.arange(test_labels.size), test_labels - 1].mean())
         coverages.append(cov)
         hits += 0.885 <= cov <= 0.925
@@ -291,10 +288,8 @@ def test_criterion_7_hcp_vs_baselines(scene_runs):
     wins = 0
     sizes, gaps = [], []
     for world, softmax, cal, mask, test_labels, test_probs in scene_runs:
-        q = scp_calibrate(cal, 0.1)
-        scp_member = scp_predict_batch(test_probs, q)
-        qs = cccp_calibrate(cal, dict(ALPHA_TARGET) | {1: 0.1})
-        cccp_member = cccp_predict_batch(test_probs, qs)
+        _, scp_member = scp_calibrate(cal, 0.1).predict(test_probs)
+        _, cccp_member = cccp_calibrate(cal, dict(ALPHA_TARGET) | {1: 0.1}).predict(test_probs)
         model = hcp_calibrate(cal, cfg)
         _, hcp_member = hcp_predict_batch(test_probs, model)
 

@@ -272,3 +272,84 @@ def test_stdout_is_single_json_line(sim_dir, tmp_path):
     lines = [ln for ln in r.stdout.splitlines() if ln.strip()]
     assert len(lines) == 1
     json.loads(lines[0])
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs end with a field-naming message, never a traceback
+
+
+def _hcp_model_doc():
+    rates = {"2": 0.1, "3": 0.1, "4": 0.1, "5": 0.4}
+    return {
+        "method": "hcp",
+        "class_count": 5,
+        "rare_set": [5],
+        "epsilon": 0.01,
+        "q_o": {"5": 0.5},
+        "alpha_o": {"2": 0.05, "3": 0.05, "4": 0.05, "5": 0.3},
+        "alpha_s": {"2": 0.05, "3": 0.05, "4": 0.05, "5": 0.14},
+        "q_s": {"2": 0.2, "3": 0.2, "4": 0.2, "5": 0.6},
+        "alpha_target": rates,
+        "split": {"fraction": 0.3, "seed": 21},
+    }
+
+
+def _without(key):
+    doc = _hcp_model_doc()
+    del doc[key]
+    return doc
+
+
+_MALFORMED_MODELS = {
+    "missing-q_s": (_without("q_s"), "q_s", 3),
+    "method-list": ({**_hcp_model_doc(), "method": ["x"]}, "method", 3),
+    "top-level-array": ([_hcp_model_doc()], "object", 3),
+    "q_s-string": ({**_hcp_model_doc(), "q_s": "abc"}, "q_s", 3),
+    "q_o-empty": ({**_hcp_model_doc(), "q_o": {}}, "q_o", 3),
+    "rare_set-empty": ({**_hcp_model_doc(), "rare_set": [], "q_o": {}}, "rare_set", 3),
+    "q_o-not-rare_set": ({**_hcp_model_doc(), "q_o": {"4": 0.5}}, "q_o", 3),
+    # the recorded split is configuration, like an out-of-range fraction (exit 2)
+    "split-string": ({**_hcp_model_doc(), "split": "x"}, "split", 2),
+    "split-fraction-string": ({**_hcp_model_doc(), "split": {"fraction": "x"}}, "split", 2),
+}
+
+
+def _main(capsys, *argv):
+    from sscuq.cli import main
+
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MODELS))
+def test_malformed_model_json_exits_with_field_message(tmp_path, sim_dir, capsys, case):
+    out, _ = sim_dir
+    doc, field, exit_code = _MALFORMED_MODELS[case]
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code, err = _main(
+        capsys,
+        "evaluate",
+        "--model", str(model_path),
+        "--softmax", str(out / "softmax.sscg"),
+        "--labels", str(out / "labels.sscg"),
+    )
+    assert code == exit_code, err
+    assert field in json.loads(err)["error"]
+    assert "Traceback" not in err
+
+
+def test_config_json_array_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
+    assert code == 2
+    assert "object" in json.loads(err)["error"]
+
+
+def test_config_non_numeric_noise_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"a": "x"}}))
+    code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
+    assert code == 2
+    assert "noise.a" in json.loads(err)["error"]

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from sscuq.conformal import (
     CalibrationSet,
+    CccpModel,
     DegeneracyWarning,
     HcpConfig,
     HcpModel,
-    PredictionSet,
+    ScpModel,
     cccp_calibrate,
-    cccp_predict,
-    cccp_predict_batch,
+    class_quantiles,
     conformal_quantile,
     hcp_calibrate,
-    hcp_grid_predict,
-    hcp_predict,
     hcp_predict_batch,
     load_model,
     save_model,
@@ -25,8 +23,6 @@ from sscuq.conformal import (
     score_kl,
     score_occupied,
     scp_calibrate,
-    scp_predict,
-    scp_predict_batch,
     split_alpha,
 )
 from sscuq.grids import SoftmaxGrid, ValidationError
@@ -211,22 +207,28 @@ def _one_hot_set(n, m, seed=0):
     return CalibrationSet(probs, labels)
 
 
+def _members(member_row) -> set[int]:
+    return set((np.nonzero(member_row)[0] + 1).tolist())
+
+
 def test_scp_perfect_classifier_gives_zero_quantile():
     cal = _one_hot_set(50, 4)
-    q = scp_calibrate(cal, 0.1)
-    assert q == 0.0
-    f = np.array([0.0, 1.0, 0.0, 0.0])
-    assert scp_predict(f, q) == {2}
+    model = scp_calibrate(cal, 0.1)
+    assert model.q == 0.0
+    occ, member = model.predict(np.array([[0.0, 1.0, 0.0, 0.0]]))
+    assert _members(member[0]) == {2}
+    assert occ[0]
 
 
 def test_scp_infinite_quantile_gives_full_set():
-    assert scp_predict(np.array([0.2, 0.3, 0.5]), math.inf) == {1, 2, 3}
+    model = ScpModel(class_count=3, alpha=0.1, q=math.inf)
+    _, member = model.predict(np.array([[0.2, 0.3, 0.5]]))
+    assert _members(member[0]) == {1, 2, 3}
 
 
 def test_scp_marginal_coverage_statistical():
     cal, test_labels, test_probs = sample_benchmark(0, 4000, 10_000)
-    q = scp_calibrate(cal, 0.1)
-    member = scp_predict_batch(test_probs, q)
+    _, member = scp_calibrate(cal, 0.1).predict(test_probs)
     covered = member[np.arange(test_labels.size), test_labels - 1]
     assert 0.88 <= covered.mean() <= 0.93
 
@@ -240,7 +242,7 @@ def test_cccp_single_class_present():
     probs = np.tile(np.array([[0.1, 0.8, 0.1]]), (20, 1))
     cal = CalibrationSet(probs, np.full(20, 2))
     with pytest.warns(DegeneracyWarning):
-        qs = cccp_calibrate(cal, 0.2)
+        qs = cccp_calibrate(cal, 0.2).q
     assert math.isfinite(qs[2])
     assert qs[1] == math.inf and qs[3] == math.inf
 
@@ -260,8 +262,8 @@ def test_cccp_equals_scp_for_exchangeable_scores():
         col = probs[:, j]
         col[col == 0.0] = rest[col == 0.0]
     cal = CalibrationSet(probs, labels)
-    qs = cccp_calibrate(cal, 0.25)
-    q_scp = scp_calibrate(cal, 0.25)
+    qs = cccp_calibrate(cal, 0.25).q
+    q_scp = scp_calibrate(cal, 0.25).q
     for y, q in qs.items():
         # same continuous distribution, so per-class quantiles agree within noise
         assert abs(q - q_scp) < 0.12
@@ -269,8 +271,7 @@ def test_cccp_equals_scp_for_exchangeable_scores():
 
 def test_cccp_conditional_coverage_statistical():
     cal, test_labels, test_probs = sample_benchmark(1, 6000, 20_000)
-    qs = cccp_calibrate(cal, dict(ALPHA_TARGET) | {1: 0.1})
-    member = cccp_predict_batch(test_probs, qs)
+    _, member = cccp_calibrate(cal, dict(ALPHA_TARGET) | {1: 0.1}).predict(test_probs)
     for y in (2, 3, 4):
         sel = test_labels == y
         n_cal = int((cal.labels == y).sum())
@@ -347,7 +348,8 @@ def test_hcp_predict_gate_rejects_confident_empty():
     f = np.zeros(5)
     f[0] = 1.0
     assert model.gate_threshold < math.log(1.0 / model.epsilon)
-    assert hcp_predict(f, model).is_empty_class
+    occ, member = model.predict(f[None, :])
+    assert not occ[0] and not member[0].any()
 
 
 def test_hcp_model_with_infinite_quantiles_returns_all_nonempty():
@@ -361,8 +363,8 @@ def test_hcp_model_with_infinite_quantiles_returns_all_nonempty():
         q_s={2: math.inf, 3: math.inf, 4: math.inf},
         alpha_target={2: 0.1, 3: 0.1, 4: 0.3},
     )
-    s = hcp_predict(np.array([0.97, 0.01, 0.01, 0.01]), model)
-    assert s.classes == {2, 3, 4}
+    _, member = model.predict(np.array([[0.97, 0.01, 0.01, 0.01]]))
+    assert _members(member[0]) == {2, 3, 4}
 
 
 def test_hcp_sets_never_contain_empty_class_and_respect_gate():
@@ -409,27 +411,31 @@ def test_hcp_reduces_to_cccp_with_open_gate():
         assert model.gate_threshold == math.inf
         occ, member = hcp_predict_batch(test_probs, model)
         assert occ.all()
-        qs = cccp_calibrate(cal, dict(targets) | {1: 0.1})
-    cccp_member = cccp_predict_batch(test_probs, qs)
+        _, cccp_member = cccp_calibrate(cal, dict(targets) | {1: 0.1}).predict(test_probs)
     assert np.array_equal(member[:, 1:], cccp_member[:, 1:])
 
 
 def test_hcp_grid_predict_matches_vector_predict():
+    # predicting on the grid's (U, V, D, M) array equals reshaping the flat
+    # prediction, and each voxel equals its own one-vector prediction
     cal, _, test_probs = sample_benchmark(6, 3000, 64)
     model = hcp_calibrate(cal, default_hcp_config())
     grid = SoftmaxGrid(test_probs.reshape(4, 4, 4, 5).astype(np.float32))
-    occ_grid, member = hcp_grid_predict(grid, model)
+    occ_grid, member = model.predict(grid.probs)
     flat_probs = grid.flat()
+    flat_occ, flat_member = model.predict(flat_probs)
+    assert np.array_equal(occ_grid.reshape(-1), flat_occ)
+    assert np.array_equal(member.reshape(-1, 5), flat_member)
     for i in (0, 7, 23, 63):
-        s = hcp_predict(flat_probs[i], model)
+        _, one = model.predict(flat_probs[i][None, :])
         u, v, d = np.unravel_index(i, (4, 4, 4))
-        got = set((np.nonzero(member[u, v, d])[0] + 1).tolist())
-        assert got == s.classes
+        got = _members(member[u, v, d])
+        assert got == _members(one[0])
         # a voxel the gate rejects gets the empty set
-        assert bool(occ_grid.values[u, v, d]) or not got
+        assert bool(occ_grid[u, v, d]) or not got
     # occupancy layer equals thresholding the KL score at the gate
     skl = score_kl(flat_probs, model.epsilon)
-    assert np.array_equal(occ_grid.values.reshape(-1) == 1, skl <= model.gate_threshold)
+    assert np.array_equal(occ_grid.reshape(-1), skl <= model.gate_threshold)
 
 
 def test_hcp_grid_predict_rejects_class_mismatch():
@@ -437,7 +443,7 @@ def test_hcp_grid_predict_rejects_class_mismatch():
     model = hcp_calibrate(cal, default_hcp_config())
     grid = SoftmaxGrid(np.full((1, 1, 1, 3), 1 / 3, np.float32))
     with pytest.raises(ValidationError):
-        hcp_grid_predict(grid, model)
+        model.predict(grid.flat())
 
 
 def test_hcp_class_conditional_coverage_statistical():
@@ -450,11 +456,6 @@ def test_hcp_class_conditional_coverage_statistical():
         cov = member[sel, y - 1].mean()
         a = ALPHA_TARGET[y]
         assert cov >= (1 - a) - 2 * math.sqrt(a * (1 - a) / n_cal)
-
-
-def test_prediction_set_rejects_empty_class_member():
-    with pytest.raises(ValidationError):
-        PredictionSet(frozenset({1, 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +520,53 @@ def test_model_json_serializes_infinity_as_string(tmp_path):
     assert doc["q_o"]["3"] == "inf"
     assert doc["q_s"]["2"] == "inf"
     assert load_model(path) == model
+
+
+def _calibrated_models():
+    cal, _, _ = sample_benchmark(10, 3000, 10)
+    with pytest.warns(DegeneracyWarning):  # class 5 at alpha 1e-4 exhausts its records
+        cccp = cccp_calibrate(cal, {1: 0.1, 2: 0.1, 3: 0.1, 4: 0.1, 5: 1e-4})
+    return [scp_calibrate(cal, 0.1), cccp, hcp_calibrate(cal, default_hcp_config())]
+
+
+_CODEC_MODELS = {
+    "scp-inf": ScpModel(class_count=4, alpha=0.1, q=math.inf),
+    "cccp-inf": CccpModel(
+        class_count=3, alpha={1: 0.1, 2: 0.1, 3: 0.2}, q={1: 0.5, 2: math.inf, 3: 0.25}
+    ),
+    "hcp-inf": HcpModel(
+        class_count=3,
+        rare_set=frozenset({3}),
+        epsilon=0.01,
+        q_o={3: math.inf},
+        alpha_o={2: 0.1, 3: 0.3},
+        alpha_s={2: 0.0, 3: 0.0},
+        q_s={2: math.inf, 3: 0.5},
+        alpha_target={2: 0.1, 3: 0.3},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [*_CODEC_MODELS, "calibrated"])
+def test_model_codec_roundtrip_is_byte_stable(tmp_path, name):
+    models = [_CODEC_MODELS[name]] if name in _CODEC_MODELS else _calibrated_models()
+    if name == "calibrated":
+        assert math.isinf(models[1].q[5])
+    for i, model in enumerate(models):
+        first, second = tmp_path / f"{i}a.json", tmp_path / f"{i}b.json"
+        save_model(model, first, extra={"split": {"fraction": 0.3, "seed": 4}})
+        back = load_model(first)
+        assert type(back) is type(model) and back == model
+        save_model(back, second, extra={"split": {"fraction": 0.3, "seed": 4}})
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_class_quantiles_use_each_class_own_records():
+    cal, _, _ = sample_benchmark(11, 3000, 10)
+    rates = {2: 0.1, 3: 0.2, 5: 0.3}
+    got = class_quantiles(score_class, cal, rates)
+    for y, a in rates.items():
+        assert got[y] == conformal_quantile(1.0 - cal.probs[cal.labels == y, y - 1], a)
+    kl = class_quantiles(lambda f, y: score_kl(f, 0.01), cal, {5: 0.3})
+    assert kl[5] == conformal_quantile(score_kl(cal.probs, 0.01)[cal.labels == 5], 0.3)
+    assert kl == hcp_calibrate(cal, default_hcp_config()).q_o

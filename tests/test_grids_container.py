@@ -260,3 +260,51 @@ def test_header_fully_determines_payload_length(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(TruncationError):
         read_grid(path)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"])
+@pytest.mark.parametrize("writer", ["atomic_write", "write_grid", "save_model"])
+def test_failed_rename_leaves_target_and_no_temp_file(tmp_path, monkeypatch, writer, old):
+    import os
+
+    from sscuq.conformal import ScpModel, save_model
+    from sscuq.container import atomic_write
+
+    target = tmp_path / "out"
+    if old is not None:
+        target.write_bytes(old)
+    write = {
+        "atomic_write": lambda: atomic_write(target, "new text"),
+        "write_grid": lambda: write_grid(LabelGrid(np.ones((2, 2, 2)), class_count=3), target),
+        "save_model": lambda: save_model(ScpModel(class_count=3, alpha=0.1, q=0.5), target),
+    }[writer]
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write()
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out"])
+    if old is not None:
+        assert target.read_bytes() == old
+
+
+def test_atomic_write_gives_open_permissions(tmp_path):
+    import os
+
+    from sscuq.container import atomic_write
+
+    umask = os.umask(0o027)
+    try:
+        atomic_write(tmp_path / "a", b"x")
+        with open(tmp_path / "b", "wb") as fh:
+            fh.write(b"x")
+    finally:
+        os.umask(umask)
+    assert os.stat(tmp_path / "a").st_mode & 0o777 == os.stat(tmp_path / "b").st_mode & 0o777

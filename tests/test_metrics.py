@@ -2,36 +2,32 @@ import numpy as np
 import pytest
 
 from sscuq.conformal import CalibrationSet
-from sscuq.grids import BinaryOccupancyGrid, LabelGrid, SoftmaxGrid
+from sscuq.grids import LabelGrid
 from sscuq.metrics import (
     avg_size,
     cov_gap,
-    geometry_metrics,
-    occupied_recall,
+    geometry_metrics_from_masks,
+    occupied_recall_flat,
     recall_iou_sweep,
-    semantic_miou,
+    semantic_miou_flat,
 )
 from synth_bench import default_hcp_config, scene_benchmark
 
 
-def _labels(arr, m=4):
-    return LabelGrid(np.asarray(arr), class_count=m)
-
-
-def _binary(arr):
-    return BinaryOccupancyGrid(np.asarray(arr, dtype=np.uint8))
+def _occ(arr):
+    return np.asarray(arr, dtype=bool)
 
 
 def test_geometry_perfect_prediction():
-    gt = _labels([[[1, 2], [3, 1]]])
-    pred = _binary([[[0, 1], [1, 0]]])
-    assert geometry_metrics(pred, gt) == (1.0, 1.0, 1.0)
+    gt = np.array([[[1, 2], [3, 1]]])
+    pred = _occ([[[0, 1], [1, 0]]])
+    assert geometry_metrics_from_masks(pred, gt >= 2) == (1.0, 1.0, 1.0)
 
 
 def test_geometry_all_empty_prediction():
-    gt = _labels([[[1, 2], [3, 1]]])
-    pred = _binary([[[0, 0], [0, 0]]])
-    got = geometry_metrics(pred, gt)
+    gt = np.array([[[1, 2], [3, 1]]])
+    pred = _occ([[[0, 0], [0, 0]]])
+    got = geometry_metrics_from_masks(pred, gt >= 2)
     assert got.iou == 0.0
     assert got.recall == 0.0
     assert got.precision is None
@@ -39,45 +35,44 @@ def test_geometry_all_empty_prediction():
 
 def test_geometry_counting_case():
     # TP=2, FP=1, FN=1 in a 2x2x1 grid
-    gt = _labels([[[2], [3]], [[4], [1]]])
-    pred = _binary([[[1], [1]], [[0], [1]]])
-    got = geometry_metrics(pred, gt)
+    gt = np.array([[[2], [3]], [[4], [1]]])
+    pred = _occ([[[1], [1]], [[0], [1]]])
+    got = geometry_metrics_from_masks(pred, gt >= 2)
     assert got.iou == pytest.approx(0.5)
     assert got.precision == pytest.approx(2 / 3)
     assert got.recall == pytest.approx(2 / 3)
 
 
 def test_geometry_relabel_invariance():
-    gt_a = _labels([[[1, 2], [3, 2]]])
-    gt_b = _labels([[[1, 3], [2, 3]]])  # nonempty classes swapped
-    pred = _binary([[[0, 1], [0, 1]]])
-    assert geometry_metrics(pred, gt_a) == geometry_metrics(pred, gt_b)
+    gt_a = LabelGrid(np.array([[[1, 2], [3, 2]]]), class_count=4)
+    gt_b = LabelGrid(np.array([[[1, 3], [2, 3]]]), class_count=4)  # nonempty classes swapped
+    pred = _occ([[[0, 1], [0, 1]]])
+    got_a = geometry_metrics_from_masks(pred, gt_a.occupied_mask())
+    assert got_a == geometry_metrics_from_masks(pred, gt_b.occupied_mask())
 
 
 def test_geometry_dim_mismatch():
     with pytest.raises(ValueError):
-        geometry_metrics(_binary(np.zeros((1, 2, 2))), _labels(np.ones((1, 2, 3))))
+        geometry_metrics_from_masks(np.zeros((1, 2, 2), bool), np.ones((1, 2, 3), bool))
 
 
 def test_miou_perfect():
-    gt = _labels([[[1, 2], [3, 4]]])
-    per_class, miou = semantic_miou(gt, gt)
+    gt = np.array([1, 2, 3, 4])
+    per_class, miou = semantic_miou_flat(gt, gt, 4)
     assert per_class == {2: 1.0, 3: 1.0, 4: 1.0}
     assert miou == 1.0
 
 
 def test_miou_swapped_classes_zero():
-    gt = _labels([[[2, 3]]])
-    pred = _labels([[[3, 2]]])
-    per_class, miou = semantic_miou(pred, gt)
+    per_class, miou = semantic_miou_flat([3, 2], [2, 3], 4)
     assert per_class[2] == 0.0 and per_class[3] == 0.0
     assert miou == 0.0
 
 
 def test_miou_hand_computed_confusion():
-    gt = _labels([[[2, 2], [3, 3], [4, 1]]])
-    pred = _labels([[[2, 3], [3, 3], [1, 1]]])
-    per_class, miou = semantic_miou(pred, gt)
+    gt = np.array([[[2, 2], [3, 3], [4, 1]]])
+    pred = np.array([[[2, 3], [3, 3], [1, 1]]])
+    per_class, miou = semantic_miou_flat(pred, gt, 4)
     # class 2: tp=1 fp=0 fn=1 -> 1/2; class 3: tp=2 fp=1 fn=0 -> 2/3
     # class 4: tp=0 fp=0 fn=1 -> 0
     assert per_class[2] == pytest.approx(0.5)
@@ -87,29 +82,25 @@ def test_miou_hand_computed_confusion():
 
 
 def test_miou_absent_class_excluded():
-    gt = _labels([[[1, 2]]], m=4)
-    pred = _labels([[[1, 2]]], m=4)
-    per_class, miou = semantic_miou(pred, gt)
+    per_class, miou = semantic_miou_flat([1, 2], [1, 2], 4)
     assert per_class[3] is None and per_class[4] is None
     assert miou == 1.0
 
 
 def test_occupied_recall_cases():
-    gt = _labels([[[2, 2], [2, 1]]])
-    assert occupied_recall(_binary([[[1, 1], [1, 1]]]), gt, 2) == 1.0
-    assert occupied_recall(_binary([[[0, 0], [0, 0]]]), gt, 2) == 0.0
-    assert occupied_recall(_binary([[[1, 1], [1, 1]]]), gt, 3) is None
+    gt = np.array([[[2, 2], [2, 1]]])
+    assert occupied_recall_flat(_occ([[[1, 1], [1, 1]]]), gt, 2, 4) == 1.0
+    assert occupied_recall_flat(_occ([[[0, 0], [0, 0]]]), gt, 2, 4) == 0.0
+    assert occupied_recall_flat(_occ([[[1, 1], [1, 1]]]), gt, 3, 4) is None
     with pytest.raises(ValueError):
-        occupied_recall(_binary([[[0, 0], [0, 0]]]), gt, 1)
+        occupied_recall_flat(_occ([[[0, 0], [0, 0]]]), gt, 1, 4)
 
 
 def test_occupied_recall_fraction():
-    labels = np.ones((10, 1, 1), dtype=np.uint16)
-    labels[:10] = 2
-    pred = np.zeros((10, 1, 1))
-    pred[:7] = 1
-    got = occupied_recall(_binary(pred), LabelGrid(labels, class_count=2), 2)
-    assert got == pytest.approx(0.7)
+    labels = np.full(10, 2)
+    pred = np.zeros(10, bool)
+    pred[:7] = True
+    assert occupied_recall_flat(pred, labels, 2, 2) == pytest.approx(0.7)
 
 
 def test_cov_gap_all_covered_zero_alpha_like():
