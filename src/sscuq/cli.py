@@ -103,7 +103,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=1,
-        help="cap worker threads; results are identical for any value",
+        help="worker threads for ray traversal (simulate, project); "
+        "results are identical for any value",
     )
     parser.add_argument(
         "--strict",
@@ -188,10 +189,15 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
 
         if args.command == "simulate":
-            summary = run_simulate(cfg, args.out_dir)
+            summary = run_simulate(cfg, args.out_dir, threads=args.threads)
         elif args.command == "project":
             summary = run_project(
-                args.depth, cfg, args.out, binary=args.binary, sigma_cut=args.sigma_cut
+                args.depth,
+                cfg,
+                args.out,
+                binary=args.binary,
+                sigma_cut=args.sigma_cut,
+                threads=args.threads,
             )
         elif args.command == "calibrate":
             summary = run_calibrate(args.softmax, args.labels, cfg, args.method, args.out)

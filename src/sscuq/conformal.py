@@ -521,10 +521,12 @@ def save_model(model, path, extra: dict | None = None) -> None:
     atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def load_model(path):
+def load_model(path, extra: dict | None = None):
     """Read a model JSON document written by save_model.
 
-    A malformed document raises ValidationError naming the field.
+    A malformed document raises ValidationError naming the field.  When
+    ``extra`` is given, the document's keys that are not model fields
+    (those save_model's ``extra`` wrote) are copied into it.
     """
     with open(os.fspath(path)) as fh:
         doc = json.load(fh)
@@ -544,4 +546,6 @@ def load_model(path):
             values[f.name] = _FIELD_CODECS[f.type][1](doc[f.name])
         except (AttributeError, TypeError, ValueError) as exc:
             raise ValidationError(f"model field {f.name!r} is malformed: {exc}") from None
+    if extra is not None:
+        extra.update((k, v) for k, v in doc.items() if k != "method" and k not in values)
     return cls(**values)

@@ -190,12 +190,14 @@ def recall_iou_sweep(
         "occupied": lambda f, y: score_occupied(f),
     }[score_kind]
 
+    # the evaluation rows' scores do not depend on the target: score them once
+    scores = {y: score(probs, y) for y in rare}
     rows = []
     for target in targets:
         q = class_quantiles(score, cal, dict.fromkeys(rare, 1.0 - target))
         pred_occ = np.zeros(labels.shape[0], dtype=bool)
         for y in rare:
-            pred_occ |= score(probs, y) <= q[y]
+            pred_occ |= scores[y] <= q[y]
         recalls = []
         for y in rare:
             r = occupied_recall_flat(pred_occ, labels, y, cfg.class_count)

@@ -124,8 +124,11 @@ class PipelineConfig:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
         """Build a config from a JSON document; absent sections default."""
-        seed = _number(doc, "seed", 0, "seed", int)
+        seed = _field(doc, "seed", "seed", int, 0)
         base = cls.default(seed)
+        for key in _SECTIONS:
+            if key in doc:
+                _object(doc[key], key)
         try:
             geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else base.geometry
             intrinsics = (
@@ -143,13 +146,11 @@ class PipelineConfig:
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         noise = doc.get("noise", {})
-        if not isinstance(noise, Mapping):
-            raise ConfigError(f"noise must be an object, got {noise!r}")
-        noise_a = _number(noise, "a", base.noise_a, "noise.a", float)
-        noise_b = _number(noise, "b", base.noise_b, "noise.b", float)
+        noise_a = _field(noise, "a", "noise.a", float, base.noise_a)
+        noise_b = _field(noise, "b", "noise.b", float, base.noise_b)
         if noise_a < 0 or noise_b < 0 or noise_a + noise_b <= 0:
             raise ConfigError("noise.a and noise.b must be >= 0 with a positive sum")
-        split = _number(doc, "split_fraction", base.split_fraction, "split_fraction", float)
+        split = _field(doc, "split_fraction", "split_fraction", float, base.split_fraction)
         if not 0.0 < split < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {split}")
         return cls(
@@ -181,37 +182,70 @@ class PipelineConfig:
         return cls.from_json_dict(doc)
 
 
-def _number(doc: Mapping, key: str, default, name: str, kind) -> float | int:
+_SECTIONS = ("geometry", "intrinsics", "scene", "classifier", "hcp", "noise")
+_REQUIRED = object()
+
+
+def _object(value, name: str) -> Mapping:
+    """``value`` when it is a JSON object; otherwise ConfigError naming it."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _field(doc: Mapping, key: str, name: str, kind, default=_REQUIRED):
+    """``kind(doc[key])``, or ``kind(default)`` when the key is absent.
+
+    A missing required field, or a value of the wrong JSON type or form,
+    raises ConfigError naming the field.
+    """
+    if key not in doc and default is _REQUIRED:
+        raise ConfigError(f"{name} is missing")
     value = doc.get(key, default)
     try:
         return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{name} is malformed: {exc}") from None
+
+
+def _rates(value) -> dict[int, float]:
+    return {int(y): float(a) for y, a in value.items()}
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
 
 
 def _parse_geometry(doc: Mapping) -> GridGeometry:
-    try:
-        return GridGeometry(
-            dims=tuple(int(n) for n in doc["dims"]),
-            voxel_edge=float(doc["voxel_edge"]),
-            origin=[float(c) for c in doc["origin"]],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"geometry is missing field {exc}") from exc
+    return GridGeometry(
+        dims=_field(doc, "dims", "geometry.dims", lambda v: tuple(int(n) for n in v)),
+        voxel_edge=_field(doc, "voxel_edge", "geometry.voxel_edge", float),
+        origin=_field(doc, "origin", "geometry.origin", lambda v: [float(c) for c in v]),
+    )
 
 
 def _parse_intrinsics(doc: Mapping) -> CameraIntrinsics:
-    try:
-        return CameraIntrinsics(
-            f_u=float(doc["f_u"]),
-            f_v=float(doc["f_v"]),
-            c_h=float(doc["c_h"]),
-            c_w=float(doc["c_w"]),
-            height=int(doc["height"]),
-            width=int(doc["width"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"intrinsics is missing field {exc}") from exc
+    return CameraIntrinsics(
+        f_u=_field(doc, "f_u", "intrinsics.f_u", float),
+        f_v=_field(doc, "f_v", "intrinsics.f_v", float),
+        c_h=_field(doc, "c_h", "intrinsics.c_h", float),
+        c_w=_field(doc, "c_w", "intrinsics.c_w", float),
+        height=_field(doc, "height", "intrinsics.height", int),
+        width=_field(doc, "width", "intrinsics.width", int),
+    )
+
+
+def _parse_template(value, name: str) -> ObjectTemplate:
+    doc = _object(value, name)
+    return ObjectTemplate(
+        class_id=_field(doc, "class_id", f"{name}.class_id", int),
+        kind=_field(doc, "kind", f"{name}.kind", str),
+        size=_field(
+            doc, "size", f"{name}.size", lambda v: tuple((float(a), float(b)) for a, b in v)
+        ),
+    )
 
 
 def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
@@ -219,57 +253,58 @@ def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
     templates = base.templates
     if "templates" in doc:
         templates = tuple(
-            ObjectTemplate(
-                class_id=int(t["class_id"]),
-                kind=str(t["kind"]),
-                size=tuple((float(lo), float(hi)) for lo, hi in t["size"]),
-            )
-            for t in doc["templates"]
+            _parse_template(t, f"scene.templates[{i}]")
+            for i, t in enumerate(_field(doc, "templates", "scene.templates", list))
         )
     return SceneSpec(
         geometry=geometry,
-        class_count=int(doc.get("class_count", base.class_count)),
-        class_mix={int(y): float(f) for y, f in doc.get("class_mix", base.class_mix).items()},
+        class_count=_field(doc, "class_count", "scene.class_count", int, base.class_count),
+        class_mix=_field(doc, "class_mix", "scene.class_mix", _rates, base.class_mix),
         templates=templates,
-        seed=int(doc.get("seed", seed)),
+        seed=_field(doc, "seed", "scene.seed", int, seed),
     )
 
 
 def _parse_classifier(doc: Mapping, seed: int) -> ClassifierSpec:
     base = default_classifier_spec(seed)
     return ClassifierSpec(
-        confusion=np.asarray(doc.get("confusion", base.confusion), dtype=np.float64),
-        sharpness=doc.get("sharpness", base.sharpness),
-        temperature=float(doc.get("temperature", base.temperature)),
-        seed=int(doc.get("seed", seed)),
+        confusion=_field(doc, "confusion", "classifier.confusion", _array, base.confusion),
+        sharpness=_field(doc, "sharpness", "classifier.sharpness", _array, base.sharpness),
+        temperature=_field(doc, "temperature", "classifier.temperature", float, base.temperature),
+        seed=_field(doc, "seed", "classifier.seed", int, seed),
     )
 
 
 def _parse_hcp(doc: Mapping, class_count: int) -> HcpConfig:
-    try:
-        return HcpConfig(
-            class_count=int(doc.get("class_count", class_count)),
-            rare_set=frozenset(int(y) for y in doc["rare_set"]),
-            alpha_o={int(y): float(a) for y, a in doc["alpha_o"].items()},
-            alpha_target={int(y): float(a) for y, a in doc["alpha_target"].items()},
-            epsilon=float(doc.get("epsilon", 0.01)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"hcp is missing field {exc}") from exc
+    return HcpConfig(
+        class_count=_field(doc, "class_count", "hcp.class_count", int, class_count),
+        rare_set=_field(doc, "rare_set", "hcp.rare_set", lambda v: frozenset(int(y) for y in v)),
+        alpha_o=_field(doc, "alpha_o", "hcp.alpha_o", _rates),
+        alpha_target=_field(doc, "alpha_target", "hcp.alpha_target", _rates),
+        epsilon=_field(doc, "epsilon", "hcp.epsilon", float, 0.01),
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def run_simulate(cfg: PipelineConfig, out_dir: str) -> dict:
-    """Generate a world, render its depths, classify it, write containers."""
+def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
+    """Generate a world, classify it, render its depths, write containers."""
     os.makedirs(out_dir, exist_ok=True)
     world = generate_scene(cfg.scene)
-    gt_depth, est = render_depth(
-        world, cfg.intrinsics, cfg.geometry, cfg.noise_a, cfg.noise_b, seed=cfg.seed
-    )
+    # the classifier's temporaries are the command's peak; rendering after
+    # it keeps the ray chunks' scratch (worker threads' too) out of that peak
     softmax = synth_classifier(world, cfg.classifier)
+    gt_depth, est = render_depth(
+        world,
+        cfg.intrinsics,
+        cfg.geometry,
+        cfg.noise_a,
+        cfg.noise_b,
+        seed=cfg.seed,
+        threads=threads,
+    )
 
     paths = {
         "labels": os.path.join(out_dir, "labels.sscg"),
@@ -301,6 +336,7 @@ def run_project(
     out_path: str,
     binary: bool = False,
     sigma_cut: float | None = None,
+    threads: int = 1,
 ) -> dict:
     """Build the probabilistic (default) or binary grid from a depth file."""
     est = read_grid(depth_path)
@@ -317,7 +353,9 @@ def run_project(
                 "probabilistic projection needs a depth_estimate container with "
                 "sigma; rerun with --binary for plain depths"
             )
-        grid = build_prob_grid(est, cfg.intrinsics, cfg.geometry, sigma_cut=sigma_cut)
+        grid = build_prob_grid(
+            est, cfg.intrinsics, cfg.geometry, sigma_cut=sigma_cut, threads=threads
+        )
         occupancy = float(grid.values.sum())
     write_grid(grid, out_path, geometry=cfg.geometry)
     return {
@@ -390,13 +428,11 @@ def run_evaluate(
     out_csv: str | None = None,
 ) -> dict:
     """Apply a saved model to the test split and report metrics."""
-    model = load_model(model_path)
-    with open(model_path) as fh:
-        split = json.load(fh).get("split", {})
-    if not isinstance(split, Mapping):
-        raise ConfigError(f"model field 'split' must be an object, got {split!r}")
-    fraction = _number(split, "fraction", 0.3, "model field split.fraction", float)
-    seed = _number(split, "seed", 0, "model field split.seed", int)
+    extra: dict = {}
+    model = load_model(model_path, extra=extra)
+    split = _object(extra.get("split", {}), "model field 'split'")
+    fraction = _field(split, "fraction", "model field split.fraction", float, 0.3)
+    seed = _field(split, "seed", "model field split.seed", int, 0)
 
     softmax, labels = _load_pair(softmax_path, labels_path)
     test = ~split_mask(labels.labels.size, fraction, seed)

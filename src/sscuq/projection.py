@@ -13,6 +13,7 @@ bounds the crossing depths directly.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -53,61 +54,118 @@ def pixel_to_point(h: float, w: float, z: float, intr: CameraIntrinsics):
     return (x, y, z)
 
 
-def ray_direction(h: float, w: float, intr: CameraIntrinsics) -> np.ndarray:
-    """Direction (dx/dz, dy/dz, 1) of the pixel's ray, depth-parameterized."""
-    return np.array(
-        [(h - intr.c_h) / intr.f_u, (w - intr.c_w) / intr.f_v, 1.0], dtype=np.float64
+def ray_direction(h, w, intr: CameraIntrinsics) -> np.ndarray:
+    """Direction (dx/dz, dy/dz, 1) of the pixel's ray, depth-parameterized.
+
+    ``h`` and ``w`` may be arrays of pixel coordinates; the directions
+    then stack along a trailing axis of length 3.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    return np.stack(
+        [(h - intr.c_h) / intr.f_u, (w - intr.c_w) / intr.f_v, np.ones_like(h)], axis=-1
     )
 
 
-def _ray_segments(dirs: np.ndarray, geom: GridGeometry, z_max: float):
-    """Exact voxel crossings of the ray ``z -> dirs * z`` within the grid.
+def _ray_segments(dirs: np.ndarray, geom: GridGeometry, z_max):
+    """Exact voxel crossings of the rays ``z -> dirs[r] * z`` within the grid.
 
-    Returns ``(idx, z_lo, z_hi)`` with idx an (n, 3) int array of voxel
-    indices and the segment depth bounds, ordered by increasing z and
-    with zero-length segments dropped.
+    ``dirs`` is an (R, 3) batch of depth-parameterized directions (third
+    component 1) and ``z_max`` each ray's far limit (broadcast to (R,)).
+    Each ray is clipped to the grid box by its slab entry and exit
+    depths; its crossings of every grid plane inside that range, found
+    in closed form, are sorted into segment bounds.  Returns
+    ``(ray, voxel, z_lo, z_hi)``: the ray of each segment, its voxel as
+    a C-order flat index into ``geom.dims`` and its depth bounds,
+    ordered by ray and then by increasing z, with zero-length segments
+    and rays that miss the grid dropped.
     """
+    dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
+    z_max = np.broadcast_to(np.asarray(z_max, dtype=np.float64), dirs.shape[:1])
     origin = geom.origin
     edge = geom.voxel_edge
     dims = geom.dims
 
-    lo, hi = 0.0, float(z_max)
+    # slab clip.  A ray parallel to an axis gets +-inf or nan slab
+    # bounds, which keep (lo, hi) when it lies in that slab and empty it
+    # otherwise.  The updates keep the current bound on ties and against
+    # nan, as Python's max/min do, so a -0.0 crossing never replaces
+    # lo = 0.0 and a nan bound never spreads.
+    lo = np.zeros(dirs.shape[0])
+    hi = z_max.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for ax in range(3):
+            za = origin[ax] / dirs[:, ax]
+            zb = (origin[ax] + dims[ax] * edge) / dirs[:, ax]
+            near = np.where(zb < za, zb, za)
+            far = np.where(zb > za, zb, za)
+            lo = np.where(near > lo, near, lo)
+            hi = np.where(far < hi, far, hi)
+        rays = np.flatnonzero(hi > lo)
+        dirs, lo, hi = dirs[rays], lo[rays, None], hi[rays, None]
+
+        # a row holds the bounds and every plane crossing; crossings
+        # outside (lo, hi), and all of an axis the ray is parallel to
+        # (+-inf or nan), become +inf and sort past the bounds
+        zs = np.empty((rays.size, 2 + sum(n + 1 for n in dims)))
+        zs[:, :1], zs[:, 1:2] = lo, hi
+        col = 2
+        for ax in range(3):
+            zc = zs[:, col : col + dims[ax] + 1]
+            np.divide(origin[ax] + edge * np.arange(dims[ax] + 1), dirs[:, ax, None], out=zc)
+            zc[~((zc > lo) & (zc < hi))] = np.inf
+            col += dims[ax] + 1
+    zs.sort(axis=1)
+    keep = (zs[:, 1:] > zs[:, :-1]) & (zs[:, 1:] < np.inf)
+    z_lo, z_hi = zs[:, :-1][keep], zs[:, 1:][keep]
+    seg_ray = np.repeat(np.arange(rays.size), keep.sum(axis=1))
+    del zs, keep  # free the (rays, planes) scratch before the per-segment arrays
+
+    # each segment's voxel, from its midpoint, as a C-order flat index
+    mids = z_lo + z_hi
+    mids *= 0.5
+    voxel = np.zeros(mids.size, dtype=np.int64)
+    ok = np.ones(mids.size, dtype=bool)
     for ax in range(3):
-        d = dirs[ax]
-        if d == 0.0:
-            if not (origin[ax] <= 0.0 < origin[ax] + dims[ax] * edge):
-                return _EMPTY_SEGMENTS
-            continue
-        za = origin[ax] / d
-        zb = (origin[ax] + dims[ax] * edge) / d
-        lo = max(lo, min(za, zb))
-        hi = min(hi, max(za, zb))
-    if not hi > lo:
-        return _EMPTY_SEGMENTS
-
-    cuts = [np.array([lo, hi])]
-    for ax in range(3):
-        d = dirs[ax]
-        if d == 0.0:
-            continue
-        zc = (origin[ax] + edge * np.arange(dims[ax] + 1)) / d
-        cuts.append(zc[(zc > lo) & (zc < hi)])
-    zs = np.sort(np.concatenate(cuts))
-    z_lo, z_hi = zs[:-1], zs[1:]
-    keep = z_hi > z_lo
-    z_lo, z_hi = z_lo[keep], z_hi[keep]
-
-    mids = 0.5 * (z_lo + z_hi)
-    idx = np.floor((dirs[None, :] * mids[:, None] - origin[None, :]) / edge).astype(np.int64)
-    ok = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-    return idx[ok], z_lo[ok], z_hi[ok]
+        coord = dirs[seg_ray, ax]
+        coord *= mids
+        coord -= origin[ax]
+        coord /= edge
+        np.floor(coord, out=coord)
+        ok &= (coord >= 0) & (coord < dims[ax])
+        voxel *= dims[ax]
+        voxel += coord.astype(np.int64)
+    del mids, coord
+    if not ok.all():
+        seg_ray, voxel, z_lo, z_hi = seg_ray[ok], voxel[ok], z_lo[ok], z_hi[ok]
+    return rays[seg_ray], voxel, z_lo, z_hi
 
 
-_EMPTY_SEGMENTS = (
-    np.empty((0, 3), dtype=np.int64),
-    np.empty(0, dtype=np.float64),
-    np.empty(0, dtype=np.float64),
-)
+# Rays per kernel call: bounds the (rays, planes) scratch arrays of a chunk.
+_CHUNK_RAYS = 1024
+
+
+def _for_each_chunk(n_rays: int, threads: int, work, fold) -> None:
+    """``fold(work(start, stop))`` for consecutive chunks of ``n_rays``, in order.
+
+    With ``threads > 1`` the chunks run in groups of ``threads``: the
+    calling thread works on the first chunk of a group while a pool of
+    ``threads - 1`` workers takes the rest.  ``fold`` sees the results
+    in chunk order on the calling thread, so the outcome never depends
+    on ``threads``.
+    """
+    chunks = [(s, min(s + _CHUNK_RAYS, n_rays)) for s in range(0, n_rays, _CHUNK_RAYS)]
+    if threads <= 1 or len(chunks) <= 1:
+        for chunk in chunks:
+            fold(work(*chunk))
+        return
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        for first in range(0, len(chunks), threads):
+            group = chunks[first : first + threads]
+            futures = [pool.submit(work, *chunk) for chunk in group[1:]]
+            fold(work(*group[0]))
+            for future in futures:
+                fold(future.result())
 
 
 def traverse_ray(
@@ -127,10 +185,11 @@ def traverse_ray(
         z_max = np.inf
     elif not z_max > 0:
         raise ValueError(f"z_max must be positive, got {z_max}")
-    idx, z_lo, z_hi = _ray_segments(ray_direction(h, w, intr), geom, z_max)
+    _, voxel, z_lo, z_hi = _ray_segments(ray_direction([h], [w], intr), geom, z_max)
+    idx = np.unravel_index(voxel, geom.dims)
     return [
-        RaySegment((int(i[0]), int(i[1]), int(i[2])), float(a), float(b))
-        for i, a, b in zip(idx, z_lo, z_hi)
+        RaySegment((int(i), int(j), int(k)), float(a), float(b))
+        for i, j, k, a, b in zip(*idx, z_lo, z_hi)
     ]
 
 
@@ -139,14 +198,16 @@ def build_prob_grid(
     intr: CameraIntrinsics,
     geom: GridGeometry,
     sigma_cut: float | None = None,
+    threads: int = 1,
 ) -> ProbOccupancyGrid:
     """Probabilistic occupancy: per voxel, the clamped sum over rays of the
     Gaussian depth mass falling between the ray's entry and exit depths.
 
     Pixels are accumulated in raster order into a float64 buffer and the
-    total is clamped to 1, so the result is deterministic.  ``sigma_cut``
-    optionally truncates each ray ``sigma_cut`` standard deviations past
-    its depth mean; leave it None for exact results.
+    total is clamped to 1, so the result is deterministic and the same
+    for any ``threads`` (worker threads traversing chunks of rays).
+    ``sigma_cut`` optionally truncates each ray ``sigma_cut`` standard
+    deviations past its depth mean; leave it None for exact results.
     """
     if (est.shape[0], est.shape[1]) != (intr.height, intr.width):
         raise ValueError(
@@ -156,18 +217,21 @@ def build_prob_grid(
     if sigma_cut is not None and not sigma_cut > 0:
         raise ValueError(f"sigma_cut must be positive, got {sigma_cut}")
 
-    acc = np.zeros(geom.dims, dtype=np.float64)
     rows, cols = np.nonzero(est.valid_mask)
-    for h, w in zip(rows.tolist(), cols.tolist()):
-        mean = est.mean[h, w]
-        sigma = est.sigma[h, w]
-        z_max = mean + sigma_cut * sigma if sigma_cut is not None else np.inf
-        idx, z_lo, z_hi = _ray_segments(ray_direction(h, w, intr), geom, z_max)
-        if idx.shape[0] == 0:
-            continue
-        p = _interval_prob(z_lo, z_hi, mean, sigma)
-        np.add.at(acc, (idx[:, 0], idx[:, 1], idx[:, 2]), p)
-    return ProbOccupancyGrid(np.minimum(acc, 1.0).astype(np.float32))
+    dirs = ray_direction(rows, cols, intr)
+    mean = est.mean[rows, cols]
+    sigma = est.sigma[rows, cols]
+    z_max = mean + sigma_cut * sigma if sigma_cut is not None else np.full(rows.size, np.inf)
+
+    def work(start, stop):
+        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom, z_max[start:stop])
+        ray += start
+        return voxel, _interval_prob(z_lo, z_hi, mean[ray], sigma[ray])
+
+    acc = np.zeros(geom.voxel_count, dtype=np.float64)
+    _for_each_chunk(rows.size, threads, work, lambda res: np.add.at(acc, *res))
+    values = np.minimum(acc, 1.0).astype(np.float32).reshape(geom.dims)
+    return ProbOccupancyGrid(values)
 
 
 def build_binary_grid(

@@ -25,7 +25,7 @@ from .grids import (
     SoftmaxGrid,
     ValidationError,
 )
-from .projection import _ray_segments, ray_direction
+from .projection import _for_each_chunk, _ray_segments, ray_direction
 
 __all__ = [
     "GenerationError",
@@ -295,6 +295,7 @@ def render_depth(
     noise_a: float,
     noise_b: float,
     seed: int = 0,
+    threads: int = 1,
 ):
     """Ray-cast true depths and simulate a calibrated noisy estimator.
 
@@ -303,25 +304,34 @@ def render_depth(
     The estimate adds Gaussian noise with standard deviation
     ``sigma(d) = noise_a + noise_b * d`` and reports exactly that sigma,
     so standardized residuals are standard normal by construction.
+    ``threads`` worker threads cast chunks of rays; the result does not
+    depend on it.
     """
     if noise_a < 0 or noise_b < 0 or noise_a + noise_b <= 0:
         raise ValueError("need noise_a, noise_b >= 0 with a positive sum")
     if world.dims != geom.dims:
         raise ValueError(f"world dims {world.dims} != geometry dims {geom.dims}")
     height, width = intr.height, intr.width
-    depth = np.zeros((height, width), dtype=np.float64)
-    valid = np.zeros((height, width), dtype=bool)
-    occupied = world.occupied_mask()
-    for h in range(height):
-        for w in range(width):
-            idx, z_lo, _ = _ray_segments(ray_direction(h, w, intr), geom, np.inf)
-            if idx.shape[0] == 0:
-                continue
-            hit = occupied[idx[:, 0], idx[:, 1], idx[:, 2]]
-            k = np.argmax(hit)
-            if hit[k]:
-                depth[h, w] = z_lo[k]
-                valid[h, w] = True
+    depth = np.zeros(height * width, dtype=np.float64)
+    valid = np.zeros(height * width, dtype=bool)
+    occupied = world.occupied_mask().reshape(-1)
+    rows, cols = np.divmod(np.arange(height * width), width)
+    dirs = ray_direction(rows, cols, intr)
+
+    def first_hits(start, stop):
+        ray, voxel, z_lo, _ = _ray_segments(dirs[start:stop], geom, np.inf)
+        hit = occupied[voxel]
+        rays, first = np.unique(ray[hit], return_index=True)
+        return start + rays, z_lo[hit][first]
+
+    def store(res):
+        pixels, z = res
+        depth[pixels] = z
+        valid[pixels] = True
+
+    _for_each_chunk(height * width, threads, first_hits, store)
+    depth = depth.reshape(height, width)
+    valid = valid.reshape(height, width)
     gt = GroundTruthDepth(depth, valid)
 
     sigma = noise_a + noise_b * depth

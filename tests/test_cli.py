@@ -257,6 +257,15 @@ def test_threads_flag_output_invariant(tmp_path, sim_dir):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_threads_flag_simulate_invariant(tmp_path, sim_dir):
+    out, _ = sim_dir  # written with the default --threads 1
+    again = tmp_path / "t4"
+    r = run_cli("simulate", "--out-dir", str(again), "--seed", "21", "--threads", "4")
+    assert r.returncode == 0, r.stderr
+    for name in ("labels.sscg", "depth_gt.sscg", "depth_est.sscg", "softmax.sscg"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_threads_must_be_positive(tmp_path, sim_dir):
     out, _ = sim_dir
     r = run_cli(
@@ -353,3 +362,18 @@ def test_config_non_numeric_noise_is_config_error(tmp_path, capsys):
     code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
     assert code == 2
     assert "noise.a" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"geometry": []}, "geometry"),
+        ({"hcp": {"rare_set": [5], "alpha_o": [1], "alpha_target": {}}}, "hcp.alpha_o"),
+    ],
+)
+def test_config_section_of_wrong_type_is_config_error(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
+    assert code == 2
+    assert field in json.loads(err)["error"]

@@ -1,17 +1,23 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscuq.depth import gaussian_cdf_interval
-from sscuq.grids import CameraIntrinsics, DepthEstimate, GridGeometry
+from sscuq.depth import _interval_prob, gaussian_cdf_interval
+from sscuq.grids import CameraIntrinsics, DepthEstimate, GridGeometry, LabelGrid
 from sscuq.projection import (
+    _CHUNK_RAYS,
+    _for_each_chunk,
+    _ray_segments,
     build_binary_grid,
     build_prob_grid,
     pixel_to_point,
     ray_direction,
     traverse_ray,
 )
+from sscuq.synth import default_geometry, default_intrinsics, render_depth
 
 ONE_SIGMA_MASS = 0.682689492137086
 
@@ -103,6 +109,181 @@ def test_traversal_off_axis_known_crossing():
     assert [s.voxel for s in segs] == [(0, 0, 0), (1, 0, 1)]
     assert segs[0].z_exit == pytest.approx(1.0)
     assert segs[1].z_entry == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the one-ray-at-a-time traversal
+
+
+def _oracle_segments(dirs, geom, z_max):
+    """Reference: one ray's exact voxel crossings, as (idx, z_lo, z_hi)."""
+    origin = geom.origin
+    edge = geom.voxel_edge
+    dims = geom.dims
+    empty = (np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0))
+
+    lo, hi = 0.0, float(z_max)
+    for ax in range(3):
+        d = dirs[ax]
+        if d == 0.0:
+            if not (origin[ax] <= 0.0 < origin[ax] + dims[ax] * edge):
+                return empty
+            continue
+        za = origin[ax] / d
+        zb = (origin[ax] + dims[ax] * edge) / d
+        lo = max(lo, min(za, zb))
+        hi = min(hi, max(za, zb))
+    if not hi > lo:
+        return empty
+
+    cuts = [np.array([lo, hi])]
+    for ax in range(3):
+        d = dirs[ax]
+        if d == 0.0:
+            continue
+        zc = (origin[ax] + edge * np.arange(dims[ax] + 1)) / d
+        cuts.append(zc[(zc > lo) & (zc < hi)])
+    zs = np.sort(np.concatenate(cuts))
+    z_lo, z_hi = zs[:-1], zs[1:]
+    keep = z_hi > z_lo
+    z_lo, z_hi = z_lo[keep], z_hi[keep]
+
+    mids = 0.5 * (z_lo + z_hi)
+    idx = np.floor((dirs[None, :] * mids[:, None] - origin[None, :]) / edge).astype(np.int64)
+    ok = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
+    return idx[ok], z_lo[ok], z_hi[ok]
+
+
+def _oracle_prob_grid(est, intr, geom, sigma_cut=None):
+    """Reference: the probabilistic grid accumulated one ray at a time."""
+    acc = np.zeros(geom.dims, dtype=np.float64)
+    rows, cols = np.nonzero(est.valid_mask)
+    for h, w in zip(rows.tolist(), cols.tolist()):
+        mean, sigma = est.mean[h, w], est.sigma[h, w]
+        z_max = mean + sigma_cut * sigma if sigma_cut is not None else np.inf
+        idx, z_lo, z_hi = _oracle_segments(ray_direction(h, w, intr), geom, z_max)
+        np.add.at(acc, tuple(idx.T), _interval_prob(z_lo, z_hi, mean, sigma))
+    return np.minimum(acc, 1.0).astype(np.float32)
+
+
+# exact binary fractions put plane crossings on the slab bounds and on
+# each other; 0.0 makes rays parallel to an axis
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]),
+    st.floats(-1.5, 1.5, allow_nan=False),
+)
+
+
+@given(
+    st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=12),
+    st.lists(st.one_of(st.just(np.inf), st.floats(0.01, 6.0)), min_size=1, max_size=12),
+    # origins on 0 and with the far face on 0 (dims * edge = 1.25, 0.75,
+    # 2.5, 1.5) are where rays parallel to an axis graze the box
+    st.tuples(
+        *[st.sampled_from([-2.5, -1.5, -1.25, -0.75, 0.0, 0.25]) | st.floats(-3.0, 1.0)] * 2
+    ),
+    st.sampled_from([0.0, 0.5]) | st.floats(0.01, 2.0),
+    st.sampled_from([0.25, 0.5]) | st.floats(0.05, 0.6),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_segments_equal_per_ray_oracle(xy, z_max, oxy, oz, edge):
+    dirs = np.array([[x, y, 1.0] for x, y in xy])
+    z_max = np.resize(np.array(z_max), dirs.shape[0])
+    geom = GridGeometry(dims=(5, 3, 6), voxel_edge=edge, origin=(*oxy, oz))
+    _assert_segments_equal_oracle(dirs, geom, z_max)
+
+
+def test_batched_segments_equal_oracle_on_default_scene():
+    # every pixel of the default camera; some midpoints round past the
+    # grid's far faces, which exercises dropping out-of-grid segments
+    intr, geom = default_intrinsics(), default_geometry()
+    dirs = ray_direction(*np.divmod(np.arange(intr.height * intr.width), intr.width), intr)
+    _assert_segments_equal_oracle(dirs, geom, np.full(dirs.shape[0], np.inf))
+
+
+def _assert_segments_equal_oracle(dirs, geom, z_max):
+    ray, voxel, z_lo, z_hi = _ray_segments(dirs, geom, z_max)
+    assert np.all(np.diff(ray) >= 0)
+    for r in range(dirs.shape[0]):
+        with np.errstate(divide="ignore", over="ignore"):
+            idx, want_lo, want_hi = _oracle_segments(dirs[r], geom, z_max[r])
+        assert np.array_equal(np.unravel_index(voxel[ray == r], geom.dims), idx.T)
+        assert z_lo[ray == r].tobytes() == want_lo.tobytes()
+        assert z_hi[ray == r].tobytes() == want_hi.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_rays", [0, 1, _CHUNK_RAYS, 4 * _CHUNK_RAYS + 1])
+def test_chunks_fold_in_order_whatever_finishes_first(n_rays, threads):
+    def work(start, stop):
+        time.sleep(0.002 * (start // _CHUNK_RAYS % 3 == 0))  # chunks 0, 3, 6, ... finish late
+        return start, stop
+
+    folded = []
+    _for_each_chunk(n_rays, threads, work, folded.append)
+    bounds = list(range(0, n_rays, _CHUNK_RAYS)) + [n_rays]
+    assert folded == list(zip(bounds[:-1], bounds[1:]))
+
+
+def _chunk_scene(height, width, c_h):
+    """Depth estimate whose valid rays fill ``height * width - 3`` slots.
+
+    Rows above ``c_h`` point away from the grid's +x half-space.
+    """
+    intr = CameraIntrinsics(f_u=20.0, f_v=20.0, c_h=c_h, c_w=width / 2, height=height, width=width)
+    geom = GridGeometry(dims=(10, 12, 9), voxel_edge=0.3, origin=(0.01, -1.8, 0.4))
+    n = height * width
+    from sscuq.rng import uniforms
+
+    mean = 0.8 + 2.0 * uniforms(77, np.arange(n)).reshape(height, width)
+    sigma = 0.05 + 0.4 * uniforms(78, np.arange(n)).reshape(height, width)
+    valid = np.ones((height, width), bool)
+    valid.flat[[5, n // 2, n - 1]] = False
+    est = DepthEstimate(np.where(valid, mean, 0.0), np.where(valid, sigma, 0.0), valid)
+    return est, intr, geom
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "shape, c_h",
+    [
+        ((40, 40), 20.0),  # 1597 valid rays: the last chunk is partial
+        ((64, 48), 30.0),  # rows 0..30 miss the grid, so all of chunk 0 (rows 0..21)
+    ],
+)
+def test_prob_grid_bytes_equal_oracle_across_chunks(shape, c_h, threads):
+    est, intr, geom = _chunk_scene(*shape, c_h)
+    n_valid = int(est.valid_mask.sum())
+    assert n_valid % _CHUNK_RAYS != 0
+    if shape == (64, 48):
+        first = ray_direction(*np.nonzero(est.valid_mask), intr)[:_CHUNK_RAYS]
+        assert _ray_segments(first, geom, np.inf)[0].size == 0
+    want = _oracle_prob_grid(est, intr, geom)
+    got = build_prob_grid(est, intr, geom, threads=threads).values
+    assert got.tobytes() == want.tobytes()
+    cut = build_prob_grid(est, intr, geom, sigma_cut=2.0, threads=threads).values
+    assert cut.tobytes() == _oracle_prob_grid(est, intr, geom, sigma_cut=2.0).tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_render_depth_first_hit_equals_oracle(threads):
+    intr = CameraIntrinsics(f_u=20.0, f_v=20.0, c_h=20.0, c_w=20.0, height=41, width=37)
+    geom = GridGeometry(dims=(10, 12, 9), voxel_edge=0.3, origin=(-1.5, -1.8, 0.4))
+    from sscuq.rng import uniforms
+
+    occupied = uniforms(79, np.arange(10 * 12 * 9)).reshape(geom.dims) < 0.03
+    world = LabelGrid(np.where(occupied, 2, 1).astype(np.uint8), class_count=2)
+    gt, _ = render_depth(world, intr, geom, 0.05, 0.0, seed=1, threads=threads)
+    want = np.zeros((intr.height, intr.width))
+    for h in range(intr.height):
+        for w in range(intr.width):
+            idx, z_lo, _ = _oracle_segments(ray_direction(h, w, intr), geom, np.inf)
+            hit = np.flatnonzero(occupied[tuple(idx.T)])
+            if hit.size:
+                want[h, w] = z_lo[hit[0]]
+    assert 0 < np.count_nonzero(want) < want.size
+    assert gt.depth.tobytes() == want.tobytes()
+    assert np.array_equal(gt.valid_mask, want > 0)
 
 
 # ---------------------------------------------------------------------------
