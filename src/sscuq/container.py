@@ -8,8 +8,10 @@ Layout, in order:
 * UTF-8 JSON header ``{kind, dims, dtype, voxel_edge, origin, class_count?}``
 * raw little-endian payload, row-major, last listed index fastest-varying
 
-Payload dtype per kind: float32 for probabilities and depths, uint16 for
-labels, uint8 for binary occupancy.  Depth kinds store consecutive full
+Each kind has one payload dtype (``_KINDS``): float32 for probabilities
+and depths, uint16 for labels, uint8 for binary occupancy; the reader
+rejects a header whose dtype is not its kind's, and softmax and labels
+headers must carry ``class_count``.  Depth kinds store consecutive full
 planes: ``depth_estimate`` holds mean, sigma, then the validity mask as
 0/1 float32; ``depth`` holds the depth plane then the mask.  The header
 alone determines the payload length; any mismatch is rejected.  Writes
@@ -20,6 +22,7 @@ are deterministic (identical input gives identical bytes) and atomic
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -54,56 +57,19 @@ class TruncationError(ContainerError):
     """The payload length does not match the header."""
 
 
-_DTYPES = {
-    "float32": np.dtype("<f4"),
-    "uint16": np.dtype("<u2"),
-    "uint8": np.dtype("<u1"),
+# kind -> (grid type, payload dtype, grid fields stored as payload planes, in order)
+_KINDS = {
+    "prob_occupancy": (ProbOccupancyGrid, np.dtype("<f4"), ("values",)),
+    "binary_occupancy": (BinaryOccupancyGrid, np.dtype("<u1"), ("values",)),
+    "softmax": (SoftmaxGrid, np.dtype("<f4"), ("probs",)),
+    "labels": (LabelGrid, np.dtype("<u2"), ("labels",)),
+    "depth_estimate": (DepthEstimate, np.dtype("<f4"), ("mean", "sigma", "valid_mask")),
+    "depth": (GroundTruthDepth, np.dtype("<f4"), ("depth", "valid_mask")),
 }
-
-
-def _header_for(grid) -> dict:
-    if isinstance(grid, ProbOccupancyGrid):
-        return {"kind": "prob_occupancy", "dims": list(grid.dims), "dtype": "float32"}
-    if isinstance(grid, BinaryOccupancyGrid):
-        return {"kind": "binary_occupancy", "dims": list(grid.dims), "dtype": "uint8"}
-    if isinstance(grid, SoftmaxGrid):
-        return {
-            "kind": "softmax",
-            "dims": list(grid.dims),
-            "dtype": "float32",
-            "class_count": grid.class_count,
-        }
-    if isinstance(grid, LabelGrid):
-        return {
-            "kind": "labels",
-            "dims": list(grid.dims),
-            "dtype": "uint16",
-            "class_count": grid.class_count,
-        }
-    if isinstance(grid, DepthEstimate):
-        return {"kind": "depth_estimate", "dims": list(grid.shape), "dtype": "float32"}
-    if isinstance(grid, GroundTruthDepth):
-        return {"kind": "depth", "dims": list(grid.shape), "dtype": "float32"}
-    raise ValidationError(f"unsupported grid type: {type(grid).__name__}")
-
-
-def _payload_for(grid) -> bytes:
-    if isinstance(grid, (ProbOccupancyGrid, BinaryOccupancyGrid)):
-        arr = grid.values
-    elif isinstance(grid, SoftmaxGrid):
-        arr = grid.probs
-    elif isinstance(grid, LabelGrid):
-        arr = grid.labels
-    elif isinstance(grid, DepthEstimate):
-        arr = np.stack(
-            [grid.mean, grid.sigma, grid.valid_mask.astype(np.float64)]
-        )
-    elif isinstance(grid, GroundTruthDepth):
-        arr = np.stack([grid.depth, grid.valid_mask.astype(np.float64)])
-    else:  # pragma: no cover - _header_for already rejects
-        raise ValidationError(f"unsupported grid type: {type(grid).__name__}")
-    kind = _header_for(grid)["dtype"]
-    return np.ascontiguousarray(arr).astype(_DTYPES[kind], copy=False).tobytes()
+_KIND_OF = {grid_type: kind for kind, (grid_type, _, _) in _KINDS.items()}
+# kinds whose header carries class_count: softmax's payload has a trailing
+# class axis of that length, and a LabelGrid takes it as an argument
+_COUNTED = ("softmax", "labels")
 
 
 def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
@@ -113,26 +79,24 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
     of voxel-grid kinds; it is ignored for depth kinds.  The write is
     atomic (see ``atomic_write``).
     """
-    header = _header_for(grid)
-    is_voxel = header["kind"] in ("prob_occupancy", "binary_occupancy", "softmax", "labels")
-    if geometry is not None and is_voxel:
+    kind = _KIND_OF.get(type(grid))
+    if kind is None:
+        raise ValidationError(f"unsupported grid type: {type(grid).__name__}")
+    _, dtype, planes = _KINDS[kind]
+    arrays = [getattr(grid, name) for name in planes]
+    dims = arrays[0].shape[:3]  # a softmax grid's fourth axis is its classes
+    header = {
+        "kind": kind, "dims": list(dims), "dtype": dtype.name, "voxel_edge": None, "origin": None
+    }
+    if kind in _COUNTED:
+        header["class_count"] = grid.class_count
+    if geometry is not None and len(dims) == 3:  # depth maps (2-d) carry no geometry
         header["voxel_edge"] = geometry.voxel_edge
         header["origin"] = [float(c) for c in geometry.origin]
-    else:
-        header["voxel_edge"] = None
-        header["origin"] = None
-    payload = _payload_for(grid)
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    blob = b"".join(
-        [
-            MAGIC,
-            VERSION.to_bytes(4, "little"),
-            len(head).to_bytes(8, "little"),
-            head,
-            payload,
-        ]
-    )
-    atomic_write(path, blob)
+    payload = [a.astype(dtype, copy=False).tobytes() for a in arrays]
+    prefix = [MAGIC, VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
+    atomic_write(path, b"".join(prefix + payload))
 
 
 def atomic_write(path, data: bytes | str) -> None:
@@ -155,86 +119,77 @@ def atomic_write(path, data: bytes | str) -> None:
         raise
 
 
-def _expected_counts(header: dict) -> tuple[tuple[int, ...], int]:
-    """Payload array shape and element count implied by a header."""
-    kind = header["kind"]
-    dims = tuple(int(n) for n in header["dims"])
-    if kind == "softmax":
-        shape = dims + (int(header["class_count"]),)
-    elif kind == "depth_estimate":
-        shape = (3,) + dims
-    elif kind == "depth":
-        shape = (2,) + dims
-    else:
-        shape = dims
-    return shape, int(np.prod(shape))
+def _positive_int(value) -> bool:
+    return type(value) is int and value >= 1
 
 
-def read_grid(path):
-    """Read an SSCG container and return the validated grid object.
-
-    Raises FormatError for bad magic/version, TruncationError when the
-    payload length disagrees with the header, and ValidationError when
-    the decoded object would violate its type invariants.
-    """
-    with open(os.fspath(path), "rb") as fh:
-        blob = fh.read()
+def _parse_header(blob: bytes) -> tuple[dict, int]:
+    """The validated JSON header of a container's bytes and the offset of
+    its payload; raises as ``read_header`` describes."""
     if len(blob) < 16 or blob[:4] != MAGIC:
         raise FormatError("not an SSCG container (bad magic)")
     version = int.from_bytes(blob[4:8], "little")
     if version != VERSION:
         raise FormatError(f"unsupported SSCG version {version}")
-    head_len = int.from_bytes(blob[8:16], "little")
-    if len(blob) < 16 + head_len:
+    start = 16 + int.from_bytes(blob[8:16], "little")
+    if len(blob) < start:
         raise TruncationError("header extends past end of file")
     try:
-        header = json.loads(blob[16 : 16 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(blob[16:start].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise FormatError(f"malformed JSON header: {exc}") from exc
-    try:
-        kind = header["kind"]
-        dtype = _DTYPES[header["dtype"]]
-        shape, count = _expected_counts(header)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"incomplete header: {exc}") from exc
-
-    payload = blob[16 + head_len :]
-    if len(payload) != count * dtype.itemsize:
-        raise TruncationError(
-            f"payload of {len(payload)} bytes, header implies {count * dtype.itemsize}"
+    if not isinstance(header, dict):
+        raise FormatError(f"JSON header must be an object, got {type(header).__name__}")
+    kind = header.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise FormatError(f"unknown container kind {kind!r}")
+    dtype = _KINDS[kind][1].name
+    if header.get("dtype") != dtype:
+        raise FormatError(f"{kind} payload must be {dtype}, header says {header.get('dtype')!r}")
+    dims = header.get("dims")
+    if not isinstance(dims, list) or not all(_positive_int(n) for n in dims):
+        raise FormatError(f"header dims must be a list of positive integers, got {dims!r}")
+    if kind in _COUNTED and not _positive_int(header.get("class_count")):
+        raise FormatError(
+            f"{kind} header class_count must be a positive integer, "
+            f"got {header.get('class_count')!r}"
         )
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    return header, start
 
-    try:
-        if kind == "prob_occupancy":
-            return ProbOccupancyGrid(arr)
-        if kind == "binary_occupancy":
-            return BinaryOccupancyGrid(arr)
-        if kind == "softmax":
-            return SoftmaxGrid(arr)
-        if kind == "labels":
-            return LabelGrid(arr, class_count=int(header["class_count"]))
-        if kind == "depth_estimate":
-            valid = arr[2] != 0
-            return DepthEstimate(arr[0], arr[1], valid)
-        if kind == "depth":
-            return GroundTruthDepth(arr[0], arr[1] != 0)
-    except ValidationError:
-        raise
-    raise FormatError(f"unknown container kind {kind!r}")
+
+def read_grid(path):
+    """Read an SSCG container and return the validated grid object.
+
+    Raises FormatError for a malformed header (see ``read_header``),
+    TruncationError when the payload length disagrees with the header,
+    and ValidationError when the decoded object would violate its type
+    invariants.
+    """
+    with open(os.fspath(path), "rb") as fh:
+        blob = fh.read()
+    header, start = _parse_header(blob)
+    kind = header["kind"]
+    grid_type, dtype, planes = _KINDS[kind]
+    shape = (len(planes), *header["dims"])
+    if kind == "softmax":
+        shape += (header["class_count"],)
+    size = math.prod(shape) * dtype.itemsize
+    if len(blob) - start != size:
+        raise TruncationError(f"payload of {len(blob) - start} bytes, header implies {size}")
+    arr = np.frombuffer(blob[start:], dtype=dtype).reshape(shape)
+    fields = dict(zip(planes, arr))
+    if kind == "labels":
+        fields["class_count"] = header["class_count"]
+    return grid_type(**fields)
 
 
 def read_header(path) -> dict:
-    """Read only the JSON header of an SSCG container."""
+    """Read and validate the JSON header of an SSCG container.
+
+    Raises FormatError for bad magic or version, a header that is not a
+    JSON object, an unknown kind, a dtype that is not the kind's, or
+    missing or non-integer dims or class_count (softmax and labels), and
+    TruncationError when the header runs past the end of the file.
+    """
     with open(os.fspath(path), "rb") as fh:
-        prefix = fh.read(16)
-        if len(prefix) < 16 or prefix[:4] != MAGIC:
-            raise FormatError("not an SSCG container (bad magic)")
-        version = int.from_bytes(prefix[4:8], "little")
-        if version != VERSION:
-            raise FormatError(f"unsupported SSCG version {version}")
-        head_len = int.from_bytes(prefix[8:16], "little")
-        head = fh.read(head_len)
-    if len(head) < head_len:
-        raise TruncationError("header extends past end of file")
-    return json.loads(head.decode("utf-8"))
+        return _parse_header(fh.read())[0]

@@ -30,10 +30,9 @@ from .conformal import (
     save_model,
     scp_calibrate,
 )
-from .container import atomic_write, read_grid, write_grid
+from .container import _KIND_OF, atomic_write, read_grid, write_grid
 from .grids import (
     CameraIntrinsics,
-    DepthEstimate,
     GridGeometry,
     LabelGrid,
     SoftmaxGrid,
@@ -124,7 +123,7 @@ class PipelineConfig:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
         """Build a config from a JSON document; absent sections default."""
-        seed = _field(doc, "seed", "seed", int, 0)
+        seed = _field(doc, "seed", "seed", _seed, 0)
         base = cls.default(seed)
         for key in _SECTIONS:
             if key in doc:
@@ -134,9 +133,7 @@ class PipelineConfig:
             intrinsics = (
                 _parse_intrinsics(doc["intrinsics"]) if "intrinsics" in doc else base.intrinsics
             )
-            scene = (
-                _parse_scene(doc["scene"], geometry, seed) if "scene" in doc else base.scene
-            )
+            scene = _parse_scene(doc.get("scene", {}), geometry, seed)
             classifier = (
                 _parse_classifier(doc["classifier"], seed)
                 if "classifier" in doc
@@ -167,16 +164,17 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | None, seed_override: int | None = None) -> "PipelineConfig":
-        """Load a config file; ``seed_override`` replaces its root seed."""
-        if path is None:
-            return cls.default(seed_override if seed_override is not None else 0)
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        """Load a config file (the defaults when ``path`` is None);
+        ``seed_override`` replaces its root seed."""
+        doc = {}
+        if path is not None:
+            with open(path) as fh:
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            if not isinstance(doc, dict):
+                raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_json_dict(doc)
@@ -210,6 +208,13 @@ def _field(doc: Mapping, key: str, name: str, kind, default=_REQUIRED):
         raise ConfigError(f"{name} is malformed: {exc}") from None
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _rates(value) -> dict[int, float]:
     return {int(y): float(a) for y, a in value.items()}
 
@@ -239,13 +244,16 @@ def _parse_intrinsics(doc: Mapping) -> CameraIntrinsics:
 
 def _parse_template(value, name: str) -> ObjectTemplate:
     doc = _object(value, name)
-    return ObjectTemplate(
-        class_id=_field(doc, "class_id", f"{name}.class_id", int),
-        kind=_field(doc, "kind", f"{name}.kind", str),
-        size=_field(
-            doc, "size", f"{name}.size", lambda v: tuple((float(a), float(b)) for a, b in v)
-        ),
-    )
+    try:
+        return ObjectTemplate(
+            class_id=_field(doc, "class_id", f"{name}.class_id", int),
+            kind=_field(doc, "kind", f"{name}.kind", str),
+            size=_field(
+                doc, "size", f"{name}.size", lambda v: tuple((float(a), float(b)) for a, b in v)
+            ),
+        )
+    except ValidationError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
@@ -261,7 +269,7 @@ def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
         class_count=_field(doc, "class_count", "scene.class_count", int, base.class_count),
         class_mix=_field(doc, "class_mix", "scene.class_mix", _rates, base.class_mix),
         templates=templates,
-        seed=_field(doc, "seed", "scene.seed", int, seed),
+        seed=_field(doc, "seed", "scene.seed", _seed, seed),
     )
 
 
@@ -271,7 +279,7 @@ def _parse_classifier(doc: Mapping, seed: int) -> ClassifierSpec:
         confusion=_field(doc, "confusion", "classifier.confusion", _array, base.confusion),
         sharpness=_field(doc, "sharpness", "classifier.sharpness", _array, base.sharpness),
         temperature=_field(doc, "temperature", "classifier.temperature", float, base.temperature),
-        seed=_field(doc, "seed", "classifier.seed", int, seed),
+        seed=_field(doc, "seed", "classifier.seed", _seed, seed),
     )
 
 
@@ -340,18 +348,21 @@ def run_project(
 ) -> dict:
     """Build the probabilistic (default) or binary grid from a depth file."""
     est = read_grid(depth_path)
+    kind = _KIND_OF[type(est)]
     if binary:
-        if isinstance(est, DepthEstimate):
-            depth, valid = est.mean, est.valid_mask
-        else:
-            depth, valid = est.depth, est.valid_mask
-        grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, valid=valid)
+        if kind not in ("depth_estimate", "depth"):
+            raise ValidationError(
+                f"{depth_path} holds a {kind} container; binary projection needs "
+                "depth_estimate or depth"
+            )
+        depth = est.mean if kind == "depth_estimate" else est.depth
+        grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, valid=est.valid_mask)
         occupancy = int(grid.values.sum())
     else:
-        if not isinstance(est, DepthEstimate):
+        if kind != "depth_estimate":
             raise ValidationError(
-                "probabilistic projection needs a depth_estimate container with "
-                "sigma; rerun with --binary for plain depths"
+                f"{depth_path} holds a {kind} container; probabilistic projection needs "
+                "depth_estimate, with sigma; rerun with --binary for plain depths"
             )
         grid = build_prob_grid(
             est, cfg.intrinsics, cfg.geometry, sigma_cut=sigma_cut, threads=threads
@@ -432,7 +443,7 @@ def run_evaluate(
     model = load_model(model_path, extra=extra)
     split = _object(extra.get("split", {}), "model field 'split'")
     fraction = _field(split, "fraction", "model field split.fraction", float, 0.3)
-    seed = _field(split, "seed", "model field split.seed", int, 0)
+    seed = _field(split, "seed", "model field split.seed", _seed, 0)
 
     softmax, labels = _load_pair(softmax_path, labels_path)
     test = ~split_mask(labels.labels.size, fraction, seed)

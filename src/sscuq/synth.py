@@ -10,6 +10,7 @@ the conformal guarantees downstream worth testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -74,6 +75,10 @@ class ObjectTemplate:
             raise ValidationError(f"unknown template kind {self.kind!r}")
         if self.class_id < 2:
             raise ValidationError("templates describe nonempty classes only")
+        if len(self.size) != 3:
+            raise ValidationError(
+                f"size needs one (min, max) pair per axis (x, y, z), got {len(self.size)}"
+            )
         for lo, hi in self.size:
             if not (0 < lo <= hi):
                 raise ValidationError("size ranges must be positive and ordered")
@@ -249,12 +254,18 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
         placed = 0
         budget_lo = 0.9 * target
         budget_hi = 1.2 * target
+        # 2000 attempts, or 20 per object of the smallest size the target
+        # needs, whichever is more: larger grids need more objects
+        h_min, wy_min, wz_min = (_voxels(lo, edge) for lo, _ in tpl.size)
+        smallest = h_min if tpl.kind == "column" else h_min * wy_min * wz_min
+        max_attempts = max(2000, 20 * math.ceil(budget_lo / smallest))
         attempts = 0
         while placed < budget_lo:
             attempts += 1
-            if attempts > 2000:
+            if attempts > max_attempts:
                 raise GenerationError(
-                    f"template for class {tpl.class_id} cannot fit its target"
+                    f"template for class {tpl.class_id} cannot fit its target: "
+                    f"{placed} of {budget_lo:.0f} voxels placed in {max_attempts} attempts"
                 )
             h = draw_size(*tpl.size[0])
             wy = 1 if tpl.kind == "column" else draw_size(*tpl.size[1])

@@ -1,10 +1,15 @@
+import copy
 import json
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sscuq.cli import main
 from sscuq.container import read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
 
@@ -320,12 +325,11 @@ _MALFORMED_MODELS = {
     # the recorded split is configuration, like an out-of-range fraction (exit 2)
     "split-string": ({**_hcp_model_doc(), "split": "x"}, "split", 2),
     "split-fraction-string": ({**_hcp_model_doc(), "split": {"fraction": "x"}}, "split", 2),
+    "split-seed-negative": ({**_hcp_model_doc(), "split": {"seed": -1}}, "split.seed", 2),
 }
 
 
 def _main(capsys, *argv):
-    from sscuq.cli import main
-
     code = main(list(argv))
     return code, capsys.readouterr().err
 
@@ -377,3 +381,196 @@ def test_config_section_of_wrong_type_is_config_error(tmp_path, capsys, doc, fie
     code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
     assert code == 2
     assert field in json.loads(err)["error"]
+
+
+def _required(command, tmp_path):
+    """Required flags of ``command``; its data files do not exist, so only
+    the config is read."""
+    missing = str(tmp_path / "missing.sscg")
+    return {
+        "simulate": ["--out-dir", str(tmp_path / "o")],
+        "calibrate": ["--softmax", missing, "--labels", missing, "--out", str(tmp_path / "m")],
+        "sweep": ["--softmax", missing, "--labels", missing, "--targets", "0.5"],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, flags, doc, field",
+    [
+        ("simulate", ["--seed", "-1"], None, "seed"),
+        ("calibrate", ["--seed", "-3"], None, "seed"),
+        ("sweep", ["--seed", str(2**64)], None, "seed"),
+        ("simulate", [], {"seed": -1}, "seed"),
+        ("simulate", [], {"seed": 1e30}, "seed"),
+        ("simulate", [], {"scene": {"seed": -5}}, "scene.seed"),
+        ("simulate", [], {"classifier": {"seed": 2**64}}, "classifier.seed"),
+    ],
+)
+def test_seed_outside_uint64_is_config_error(tmp_path, capsys, command, flags, doc, field):
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        flags = [*flags, "--config", str(cfg)]
+    code, err = _main(capsys, command, *flags, *_required(command, tmp_path))
+    assert code == 2, err
+    assert json.loads(err)["error"].startswith(f"{field} ")
+
+
+@pytest.mark.parametrize("pairs", [1, 2, 4])
+def test_template_size_needs_three_pairs(tmp_path, capsys, pairs):
+    template = {"class_id": 3, "kind": "box", "size": [[2.0, 3.0]] * pairs}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": {"templates": [template]}}))
+    code, err = _main(capsys, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+    assert code == 2, err
+    message = json.loads(err)["error"]
+    assert "scene.templates[0]" in message and "size" in message
+
+
+def test_geometry_alone_builds_the_scene_on_that_geometry(tmp_path, capsys):
+    geometry = {"dims": [64, 32, 16], "voxel_edge": 0.2, "origin": [-11.2, -6.4, 0.4]}
+    for name, scene in (("alone", {}), ("scene", {"scene": {}})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"geometry": geometry, **scene}))
+        out = str(tmp_path / name)
+        code, err = _main(capsys, "simulate", "--config", str(cfg), "--out-dir", out)
+        assert code == 0, err
+    alone, scene = tmp_path / "alone", tmp_path / "scene"
+    assert read_grid(alone / "labels.sscg").dims == (64, 32, 16)
+    for name in ("labels.sscg", "depth_gt.sscg", "depth_est.sscg", "softmax.sscg"):
+        assert (alone / name).read_bytes() == (scene / name).read_bytes()
+
+
+@pytest.mark.parametrize("binary", [[], ["--binary"]])
+def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(
+    tmp_path, sim_dir, capsys, binary
+):
+    out, _ = sim_dir
+    grid = tmp_path / "grid.sscg"
+    shutil.copyfile(out / "softmax.sscg", grid)
+    out_path = tmp_path / "p.sscg"
+    code, err = _main(capsys, "project", *binary, "--depth", str(grid), "--out", str(out_path))
+    assert code == 3, err
+    assert "softmax" in json.loads(err)["error"]
+    assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one field of a valid input replaced by a small JSON value.  Sizes
+# stay small (integers within +-100) because a valid but huge config, say a
+# 1e12-pixel image, is a real request the commands would try to allocate.
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-100, 100)
+    | st.floats(-100, 100)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["1", "2", "5", "x", ""]), inner, max_size=3),
+    max_leaves=6,
+)
+
+_TINY_CONFIG = {
+    "seed": 0,
+    "split_fraction": 0.3,
+    "noise": {"a": 0.03, "b": 0.06},
+    "geometry": {"dims": [4, 4, 4], "voxel_edge": 0.2, "origin": [-0.4, -0.4, 0.4]},
+    "intrinsics": {"f_u": 4.0, "f_v": 4.0, "c_h": 1.5, "c_w": 1.5, "height": 4, "width": 4},
+    "scene": {
+        "class_count": 5,
+        "class_mix": {"2": 0.0156, "3": 0.03, "4": 0.0164, "5": 0.007},
+        "templates": [
+            {"class_id": 2, "kind": "slab", "size": [[0.2, 0.2], [0.8, 0.8], [0.8, 0.8]]},
+            {"class_id": 5, "kind": "column", "size": [[0.2, 0.4], [0.2, 0.2], [0.2, 0.2]]},
+        ],
+        "seed": 0,
+    },
+    "classifier": {
+        "confusion": np.eye(5).tolist(),
+        "sharpness": [3.0, 3.2, 3.2, 3.2, 8.5],
+        "temperature": 1.5,
+        "seed": 0,
+    },
+    "hcp": {
+        "rare_set": [5],
+        "alpha_o": {"5": 0.3},
+        "alpha_target": {"2": 0.1, "3": 0.1, "4": 0.1, "5": 0.4},
+        "epsilon": 0.01,
+    },
+}
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@given(path=st.sampled_from(list(_paths(_TINY_CONFIG))), value=_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_config_exits_with_a_code(tmp_path_factory, path, value):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(_replaced(_TINY_CONFIG, path, value)))
+    code = main(["calibrate", "--config", str(cfg), *_required("calibrate", tmp)])
+    assert code in (2, 3)  # the data files are missing
+
+
+@pytest.fixture(scope="module")
+def tiny_containers(tmp_path_factory):
+    from sscuq.container import write_grid
+    from sscuq.grids import DepthEstimate, LabelGrid, SoftmaxGrid
+    from sscuq.synth import classify_labels, default_classifier_spec
+
+    out = tmp_path_factory.mktemp("tiny")
+    labels = 1 + np.arange(64).reshape(4, 4, 4) % 5
+    probs = classify_labels(labels, default_classifier_spec(0)).astype(np.float32)
+    depth = np.full((4, 4), 1.0)
+    est = DepthEstimate(depth, np.full((4, 4), 0.1), np.ones((4, 4), bool))
+    for name, grid in (
+        ("labels", LabelGrid(labels, class_count=5)),
+        ("softmax", SoftmaxGrid(probs.reshape(4, 4, 4, 5))),
+        ("depth_est", est),
+    ):
+        write_grid(grid, out / f"{name}.sscg")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps({k: _TINY_CONFIG[k] for k in ("geometry", "intrinsics")}))
+    return out
+
+
+def _with_header_field(blob: bytes, key, value) -> bytes:
+    head_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16 : 16 + head_len])
+    head = json.dumps({**header, key: value}).encode()
+    return blob[:8] + len(head).to_bytes(8, "little") + head + blob[16 + head_len :]
+
+
+_HEADER_FIELDS = st.sampled_from(["kind", "dims", "dtype", "class_count", "voxel_edge", "origin"])
+
+
+@given(name=st.sampled_from(["labels", "depth_est"]), key=_HEADER_FIELDS, value=_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_container_header_exits_with_a_code(tiny_containers, name, key, value):
+    src = tiny_containers
+    bad = src / "fuzzed.sscg"
+    bad.write_bytes(_with_header_field((src / f"{name}.sscg").read_bytes(), key, value))
+    common = ["--config", str(src / "cfg.json")]
+    if name == "labels":
+        argv = ["calibrate", *common, "--softmax", str(src / "softmax.sscg"), "--labels", str(bad)]
+        argv += ["--out", str(src / "model.json")]
+    else:
+        argv = ["project", "--binary", *common, "--depth", str(bad), "--out", str(src / "b.sscg")]
+    assert main(argv) in (0, 2, 3, 4)

@@ -132,22 +132,82 @@ def test_bad_version_is_format_error(tmp_path):
         read_grid(path)
 
 
-def test_softmax_invariant_violation_is_validation_error(tmp_path):
-    # hand-build a container whose vectors sum to 0.5
-    header = {
-        "kind": "softmax",
-        "dims": [1, 1, 1],
-        "dtype": "float32",
-        "class_count": 2,
-        "voxel_edge": None,
-        "origin": None,
-    }
+def _write_raw(path, header, payload: bytes, head_len=None):
+    """Hand-build a container: ``header`` is any JSON value, ``head_len``
+    overrides the stored header length."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    length = len(head) if head_len is None else head_len
+    prefix = b"SSCG" + (1).to_bytes(4, "little") + length.to_bytes(8, "little")
+    path.write_bytes(prefix + head + payload)
+    return path
+
+
+def _header(kind, dtype, **extra):
+    base = {"kind": kind, "dims": [1, 1, 1], "dtype": dtype, "origin": None, "voxel_edge": None}
+    return {**base, **extra}
+
+
+def test_softmax_invariant_violation_is_validation_error(tmp_path):
+    # vectors that sum to 0.5
     payload = np.array([0.25, 0.25], "<f4").tobytes()
-    path = tmp_path / "bad.sscg"
-    path.write_bytes(b"SSCG" + (1).to_bytes(4, "little") + len(head).to_bytes(8, "little") + head + payload)
+    path = _write_raw(tmp_path / "bad.sscg", _header("softmax", "float32", class_count=2), payload)
     with pytest.raises(ValidationError):
         read_grid(path)
+
+
+@pytest.mark.parametrize(
+    "kind, dtype, payload",
+    [
+        # a NaN label would decode to 0, outside LabelGrid's 1..M
+        ("labels", "float32", np.array([np.nan], "<f4").tobytes()),
+        ("labels", "float32", np.array([2.7], "<f4").tobytes()),
+        ("softmax", "uint8", np.array([0, 1], "<u1").tobytes()),
+        ("prob_occupancy", "uint16", np.array([1], "<u2").tobytes()),
+    ],
+    ids=["labels-nan", "labels-fraction", "softmax-uint8", "prob-uint16"],
+)
+def test_dtype_other_than_the_kinds_is_format_error(tmp_path, kind, dtype, payload):
+    path = _write_raw(tmp_path / "g.sscg", _header(kind, dtype, class_count=2), payload)
+    with pytest.raises(FormatError, match=kind):
+        read_grid(path)
+    with pytest.raises(FormatError, match=kind):
+        read_header(path)
+
+
+@pytest.mark.parametrize("kind, dtype", [("labels", "uint16"), ("softmax", "float32")])
+@pytest.mark.parametrize("count", [None, "2", 2.0, True, 0])
+def test_missing_or_non_integer_class_count_is_format_error(tmp_path, kind, dtype, count):
+    extra = {} if count is None else {"class_count": count}
+    path = _write_raw(tmp_path / "g.sscg", _header(kind, dtype, **extra), b"")
+    with pytest.raises(FormatError, match="class_count"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        [_header("labels", "uint16", class_count=1)],
+        "labels",
+        _header("volume", "uint16"),
+        {**_header("labels", "uint16", class_count=1), "dims": [1, 1, 0.5]},
+        {**_header("labels", "uint16", class_count=1), "dims": None},
+    ],
+    ids=["array", "string", "unknown-kind", "fractional-dim", "null-dims"],
+)
+def test_malformed_header_is_format_error(tmp_path, header):
+    path = _write_raw(tmp_path / "g.sscg", header, np.ones(1, "<u2").tobytes())
+    with pytest.raises(FormatError):
+        read_grid(path)
+    with pytest.raises(FormatError):
+        read_header(path)
+
+
+def test_header_length_past_any_file_is_truncation_error(tmp_path):
+    path = _write_raw(tmp_path / "g.sscg", {}, b"", head_len=2**63)
+    with pytest.raises(TruncationError):
+        read_grid(path)
+    with pytest.raises(TruncationError):
+        read_header(path)
 
 
 def test_payload_length_mismatch_is_truncation_error(tmp_path):
