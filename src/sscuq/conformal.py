@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
-from scipy import special
 
 from .container import atomic_write
 from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError
@@ -89,13 +88,19 @@ def score_kl(f, epsilon: float = 0.01):
     """KL divergence of the vector from the occupancy reference {eps, 1, .., 1}.
 
     Equals ``p1*log(p1/eps) + sum_{i>=2} p_i*log(p_i)`` with the
-    0*log(0) = 0 convention.  Low scores mean occupied-looking vectors:
-    little empty mass, nonempty mass spread widely.
+    0*log(0) = 0 convention; a NaN entry gives a NaN score.  Low scores
+    mean occupied-looking vectors: little empty mass, nonempty mass
+    spread widely.  Computed with numpy alone (no scipy), it agrees with
+    ``scipy.special.xlogy(f, f)`` to within a few ulp.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     f = _check_softmax(f)
-    return special.xlogy(f, f).sum(axis=-1) - f[..., 0] * math.log(epsilon)
+    # f*log(f), 0 where f == 0 (as xlogy); a negative entry gives NaN
+    with np.errstate(invalid="ignore"):
+        xlogx = np.log(f, out=np.zeros_like(f), where=f != 0)
+    xlogx *= f
+    return xlogx.sum(axis=-1) - f[..., 0] * math.log(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +503,18 @@ def _decode_rates(d: Mapping) -> dict[int, float]:
     return {int(y): _decode_value(v) for y, v in d.items()}
 
 
+def _int(value) -> int:
+    """``int(value)``, refusing a number with a fractional part (2.0 passes)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 # field annotation (a string under postponed evaluation) -> (encode, decode)
 _FIELD_CODECS = {
-    "int": (int, int),
+    "int": (int, _int),
     "float": (_encode_value, _decode_value),
-    "frozenset[int]": (sorted, lambda v: frozenset(int(y) for y in v)),
+    "frozenset[int]": (sorted, lambda v: frozenset(_int(y) for y in v)),
     "Mapping[int, float]": (_encode_rates, _decode_rates),
 }
 _MODEL_TYPES = {"hcp": HcpModel, "scp": ScpModel, "cccp": CccpModel}
@@ -528,8 +540,12 @@ def load_model(path, extra: dict | None = None):
     ``extra`` is given, the document's keys that are not model fields
     (those save_model's ``extra`` wrote) are copied into it.
     """
-    with open(os.fspath(path)) as fh:
-        doc = json.load(fh)
+    path = os.fspath(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise ValidationError(f"model {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"model JSON must be an object, got {type(doc).__name__}")
     method = doc.get("method")

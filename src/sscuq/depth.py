@@ -6,6 +6,10 @@ mass; evaluating (not training) that objective and its analytic
 gradients is all this module does.  The interval CDF helper is shared
 with the geometric projection, which integrates the same per-pixel
 Gaussians over ray/voxel crossings.
+
+The interval CDF is the package's only use of scipy (``erf``/``erfc``).
+It imports ``scipy.special`` when first called, so only the
+probabilistic projection loads scipy; importing the package does not.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .grids import DepthEstimate, GroundTruthDepth
 
@@ -38,6 +41,8 @@ def _interval_prob(z_lo, z_hi, mean, sigma):
     tails (|z - mean| >> sigma) keep absolute accuracy instead of
     cancelling; the projection sums many such tail slivers.
     """
+    from scipy import special
+
     a = (z_lo - mean) / (sigma * _SQRT2)
     b = (z_hi - mean) / (sigma * _SQRT2)
     with np.errstate(invalid="ignore"):

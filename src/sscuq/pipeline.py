@@ -24,6 +24,7 @@ from .conformal import (
     CalibrationSet,
     DegeneracyWarning,
     HcpConfig,
+    _int,
     cccp_calibrate,
     hcp_calibrate,
     load_model,
@@ -168,11 +169,11 @@ class PipelineConfig:
         ``seed_override`` replaces its root seed."""
         doc = {}
         if path is not None:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 try:
                     doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config is not valid JSON: {exc}") from exc
+                except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+                    raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
             if not isinstance(doc, dict):
                 raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
         if seed_override is not None:
@@ -209,7 +210,7 @@ def _field(doc: Mapping, key: str, name: str, kind, default=_REQUIRED):
 
 
 def _seed(value) -> int:
-    seed = int(value)
+    seed = _int(value)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
     return seed
@@ -225,7 +226,7 @@ def _array(value) -> np.ndarray:
 
 def _parse_geometry(doc: Mapping) -> GridGeometry:
     return GridGeometry(
-        dims=_field(doc, "dims", "geometry.dims", lambda v: tuple(int(n) for n in v)),
+        dims=_field(doc, "dims", "geometry.dims", lambda v: tuple(_int(n) for n in v)),
         voxel_edge=_field(doc, "voxel_edge", "geometry.voxel_edge", float),
         origin=_field(doc, "origin", "geometry.origin", lambda v: [float(c) for c in v]),
     )
@@ -237,8 +238,8 @@ def _parse_intrinsics(doc: Mapping) -> CameraIntrinsics:
         f_v=_field(doc, "f_v", "intrinsics.f_v", float),
         c_h=_field(doc, "c_h", "intrinsics.c_h", float),
         c_w=_field(doc, "c_w", "intrinsics.c_w", float),
-        height=_field(doc, "height", "intrinsics.height", int),
-        width=_field(doc, "width", "intrinsics.width", int),
+        height=_field(doc, "height", "intrinsics.height", _int),
+        width=_field(doc, "width", "intrinsics.width", _int),
     )
 
 
@@ -246,7 +247,7 @@ def _parse_template(value, name: str) -> ObjectTemplate:
     doc = _object(value, name)
     try:
         return ObjectTemplate(
-            class_id=_field(doc, "class_id", f"{name}.class_id", int),
+            class_id=_field(doc, "class_id", f"{name}.class_id", _int),
             kind=_field(doc, "kind", f"{name}.kind", str),
             size=_field(
                 doc, "size", f"{name}.size", lambda v: tuple((float(a), float(b)) for a, b in v)
@@ -266,7 +267,7 @@ def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
         )
     return SceneSpec(
         geometry=geometry,
-        class_count=_field(doc, "class_count", "scene.class_count", int, base.class_count),
+        class_count=_field(doc, "class_count", "scene.class_count", _int, base.class_count),
         class_mix=_field(doc, "class_mix", "scene.class_mix", _rates, base.class_mix),
         templates=templates,
         seed=_field(doc, "seed", "scene.seed", _seed, seed),
@@ -285,8 +286,8 @@ def _parse_classifier(doc: Mapping, seed: int) -> ClassifierSpec:
 
 def _parse_hcp(doc: Mapping, class_count: int) -> HcpConfig:
     return HcpConfig(
-        class_count=_field(doc, "class_count", "hcp.class_count", int, class_count),
-        rare_set=_field(doc, "rare_set", "hcp.rare_set", lambda v: frozenset(int(y) for y in v)),
+        class_count=_field(doc, "class_count", "hcp.class_count", _int, class_count),
+        rare_set=_field(doc, "rare_set", "hcp.rare_set", lambda v: frozenset(_int(y) for y in v)),
         alpha_o=_field(doc, "alpha_o", "hcp.alpha_o", _rates),
         alpha_target=_field(doc, "alpha_target", "hcp.alpha_target", _rates),
         epsilon=_field(doc, "epsilon", "hcp.epsilon", float, 0.01),

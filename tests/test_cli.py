@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sscuq.cli import main
 from sscuq.container import read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
+from sscuq.pipeline import PipelineConfig
 
 
 def run_cli(*args):
@@ -322,6 +323,8 @@ _MALFORMED_MODELS = {
     "q_o-empty": ({**_hcp_model_doc(), "q_o": {}}, "q_o", 3),
     "rare_set-empty": ({**_hcp_model_doc(), "rare_set": [], "q_o": {}}, "rare_set", 3),
     "q_o-not-rare_set": ({**_hcp_model_doc(), "q_o": {"4": 0.5}}, "q_o", 3),
+    "class_count-fraction": ({**_hcp_model_doc(), "class_count": 5.7}, "class_count", 3),
+    "rare_set-fraction": ({**_hcp_model_doc(), "rare_set": [5.5]}, "rare_set", 3),
     # the recorded split is configuration, like an out-of-range fraction (exit 2)
     "split-string": ({**_hcp_model_doc(), "split": "x"}, "split", 2),
     "split-fraction-string": ({**_hcp_model_doc(), "split": {"fraction": "x"}}, "split", 2),
@@ -414,6 +417,56 @@ def test_seed_outside_uint64_is_config_error(tmp_path, capsys, command, flags, d
     code, err = _main(capsys, command, *flags, *_required(command, tmp_path))
     assert code == 2, err
     assert json.loads(err)["error"].startswith(f"{field} ")
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"scene": {"seed": 0.5}}, "scene.seed"),
+        ({"seed": float("inf")}, "seed"),
+        ({"geometry": {"dims": [64.9, 64, 16], "voxel_edge": 0.2}}, "geometry.dims"),
+        ({"scene": {"class_count": 5.5}}, "scene.class_count"),
+        ({"hcp": {"rare_set": [5.5], "alpha_o": {"5": 0.3}, "alpha_target": {}}}, "hcp.rare_set"),
+    ],
+)
+def test_non_integer_in_integer_field_is_config_error(tmp_path, capsys, doc, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["calibrate", "--config", str(cfg), *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert code == 2, err
+    assert json.loads(err)["error"].startswith(f"{field} ")
+
+
+def test_integral_float_in_integer_field_is_accepted():
+    geometry = {"dims": [64.0, 64, 16], "voxel_edge": 0.2, "origin": [0, 0, 0]}
+    cfg = PipelineConfig.from_json_dict({"seed": 2.0, "geometry": geometry})
+    assert cfg.seed == 2 and type(cfg.seed) is int
+    assert cfg.geometry.dims == (64, 64, 16)
+
+
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    argv = ["calibrate", "--config", str(cfg), *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert code == 2, err
+    assert str(cfg) in json.loads(err)["error"]
+
+
+def test_deeply_nested_config_and_model_exit_with_a_message(tmp_path, sim_dir, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = ["calibrate", "--config", str(deep), *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert code == 2, err
+    assert str(deep) in json.loads(err)["error"]
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    code, err = _main(capsys, "evaluate", "--model", str(deep), *data)
+    assert code == 3, err
+    assert str(deep) in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 4])
@@ -574,3 +627,60 @@ def test_fuzzed_container_header_exits_with_a_code(tiny_containers, name, key, v
     else:
         argv = ["project", "--binary", *common, "--depth", str(bad), "--out", str(src / "b.sscg")]
     assert main(argv) in (0, 2, 3, 4)
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy is imported by the probabilistic projection alone
+
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import sscuq
+from sscuq.cli import main
+
+print("probe", json.dumps(["import", 0, scipy_modules()]))
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    print("probe", json.dumps([" ".join(argv[:2]), code, scipy_modules()]))
+"""
+
+
+def test_only_probabilistic_project_imports_scipy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    geometry = {"dims": [64, 32, 16], "voxel_edge": 0.2, "origin": [-11.2, -6.4, 0.4]}
+    camera = {"f_u": 16.0, "f_v": 16.0, "c_h": 7.5, "c_w": 7.5, "height": 16, "width": 16}
+    cfg.write_text(json.dumps({"geometry": geometry, "intrinsics": camera}))
+    sim, model = tmp_path / "sim", str(tmp_path / "model.json")
+    depth = ["--depth", str(sim / "depth_est.sscg")]
+    data = ["--softmax", str(sim / "softmax.sscg"), "--labels", str(sim / "labels.sscg")]
+    steps = [
+        ["simulate", "--out-dir", str(sim)],
+        ["project", "--binary", *depth, "--out", str(tmp_path / "binary.sscg")],
+        ["calibrate", "--method", "hcp", *data, "--out", model],
+        ["evaluate", "--model", model, *data],
+        ["sweep", "--score", "kl", "--targets", "0.5,0.8", *data],
+        ["project", *depth, "--out", str(tmp_path / "prob.sscg")],
+    ]
+    steps = [[*step, "--config", str(cfg)] for step in steps]
+    r = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps)], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    probes = [json.loads(line[6:]) for line in r.stdout.splitlines() if line.startswith("probe ")]
+    assert [name for name, _, _ in probes] == [
+        "import",
+        "simulate --out-dir",
+        "project --binary",
+        "calibrate --method",
+        "evaluate --model",
+        "sweep --score",
+        "project --depth",
+    ]
+    *scipy_free, probabilistic = probes
+    for name, code, loaded in scipy_free:
+        assert code == 0 and loaded == [], (name, code, loaded)
+    # the probe does see scipy once the interval CDF has run
+    assert probabilistic[1] == 0 and "scipy.special" in probabilistic[2]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscuq.conformal import (
@@ -79,6 +79,45 @@ def test_score_kl_mixed_vector():
 def test_score_kl_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         score_kl(np.array([0.5, 0.5]), 1.5)
+
+
+def test_score_kl_of_nan_is_nan():
+    scores = score_kl(np.array([[np.nan, 0.5, 0.5], [0.2, np.nan, 0.8], [0.0, 1.0, 0.0]]))
+    assert np.isnan(scores[:2]).all() and scores[2] == 0.0
+
+
+@st.composite
+def _softmax_rows(draw):
+    """Rows of one width: dense, with exact zeros, or one-hot."""
+    m = draw(st.integers(2, 6))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["dense", "zeros", "one-hot"]), min_size=1)):
+        if kind == "one-hot":
+            w = [0.0] * m
+            w[draw(st.integers(0, m - 1))] = 1.0
+        else:
+            weight = st.floats(1e-300, 1.0)
+            if kind == "zeros":
+                weight = st.just(0.0) | weight
+            w = draw(st.lists(weight, min_size=m, max_size=m).filter(any))
+        rows.append(np.asarray(w) / sum(w))
+    return np.array(rows)
+
+
+@given(f=_softmax_rows(), eps=st.floats(1e-8, 0.99))
+@example(f=np.eye(4), eps=0.01)
+@example(f=np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [0.5, 0.5, 0.0]]), eps=0.01)
+@settings(max_examples=200, deadline=None)
+def test_score_kl_agrees_with_scipy_xlogy(f, eps):
+    # the package scores with numpy alone; scipy's xlogy is the reference.
+    # The score can cancel to ~0, so the ulp is that of its terms' magnitude.
+    from scipy import special
+
+    terms = special.xlogy(f, f)
+    want = terms.sum(axis=-1) - f[:, 0] * math.log(eps)
+    scale = np.abs(terms).sum(axis=-1) + np.abs(f[:, 0] * math.log(eps))
+    got = score_kl(f, eps)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
 
 
 @given(st.integers(0, 10_000))
