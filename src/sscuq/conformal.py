@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .container import atomic_write
-from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError
+from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError, row_reduce
 
 __all__ = [
     "DegeneracyWarning",
@@ -100,7 +100,7 @@ def score_kl(f, epsilon: float = 0.01):
     with np.errstate(invalid="ignore"):
         xlogx = np.log(f, out=np.zeros_like(f), where=f != 0)
     xlogx *= f
-    return xlogx.sum(axis=-1) - f[..., 0] * math.log(epsilon)
+    return row_reduce(np.add, xlogx) - f[..., 0] * math.log(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ class CalibrationSet:
         if np.any(probs < 0):
             raise ValidationError("softmax entries must be non-negative")
         if probs.shape[0]:
-            sums = probs.sum(axis=1)
+            sums = row_reduce(np.add, probs)
             if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
                 raise ValidationError("softmax vectors must sum to 1")
             if labels.min() < 1 or labels.max() > probs.shape[1]:

@@ -31,6 +31,26 @@ class ValidationError(ValueError):
     """A domain type invariant does not hold."""
 
 
+def row_reduce(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, dtype=dtype)`` as one pass per column.
+
+    numpy reduces a row shorter than 8 left to right from the ufunc's
+    identity, with a per-row inner loop that dominates when rows are
+    this short.  Sweeping whole columns does the same operations in the
+    same order, so the result is bit-identical and several times faster;
+    wider rows (numpy sums them pairwise) and 1-d input go to numpy.
+    """
+    m = a.shape[-1]
+    if a.ndim < 2 or not 2 <= m < 8:
+        return ufunc.reduce(a, axis=-1, dtype=dtype)
+    out = ufunc(a[..., 0], a[..., 1], dtype=dtype)
+    for j in range(2, m):
+        ufunc(out, a[..., j], out=out, dtype=dtype)
+    if ufunc is np.add and out.dtype.kind == "f":
+        out += 0.0  # numpy starts from +0.0: a row of -0.0 sums to +0.0
+    return out
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -215,7 +235,7 @@ class SoftmaxGrid:
             raise ValidationError("softmax grid needs positive dims and at least 2 classes")
         if np.any(probs < 0):
             raise ValidationError("softmax entries must be non-negative")
-        sums = probs.sum(axis=3, dtype=np.float64)
+        sums = row_reduce(np.add, probs, dtype=np.float64)
         if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
             raise ValidationError(
                 f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}"

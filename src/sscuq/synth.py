@@ -25,6 +25,7 @@ from .grids import (
     LabelGrid,
     SoftmaxGrid,
     ValidationError,
+    row_reduce,
 )
 from .projection import _for_each_chunk, _ray_segments, ray_direction
 
@@ -50,6 +51,9 @@ _TAG_TARGET = 2
 _TAG_GUMBEL = 3
 _TAG_DEPTH = 4
 _TAG_LABELS = 5
+
+# generate_scene's scalar draws come from blocks of this many counters
+_DRAW_BLOCK = 1024
 
 
 class GenerationError(RuntimeError):
@@ -227,12 +231,16 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
     labels = np.ones(geom.dims, dtype=np.uint16)
     stream = rng.derive_seed(spec.seed, _TAG_SCENE)
     counter = 0
+    block: list[float] = []
 
     def draw() -> float:
-        nonlocal counter
-        value = float(rng.uniforms(stream, [counter])[0])
+        # draw k is uniforms(stream, [k]) whatever the block size
+        nonlocal counter, block
+        i = counter % _DRAW_BLOCK
+        if i == 0:
+            block = rng.uniforms(stream, np.arange(counter, counter + _DRAW_BLOCK)).tolist()
         counter += 1
-        return value
+        return block[i]
 
     def draw_size(lo: float, hi: float) -> int:
         return _voxels(lo + (hi - lo) * draw(), edge)
@@ -380,18 +388,23 @@ def classify_labels(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
     if labels.size and (labels.min() < 1 or labels.max() > m):
         raise ValueError(f"labels must lie in 1..{m}")
     n = labels.size
+    rows = labels - 1
     u = rng.uniforms(rng.derive_seed(spec.seed, _TAG_TARGET), np.arange(n))
-    cdf = np.cumsum(spec.confusion, axis=1)[labels - 1]
-    target = (u[:, None] > cdf[:, :-1]).sum(axis=1)
+    # target = how many entries of the row's confusion CDF lie below u,
+    # counted one CDF column at a time (no (N, M) gather of CDF rows)
+    cdf = np.cumsum(spec.confusion, axis=1)
+    target = np.zeros(n, dtype=np.int64)
+    for j in range(m - 1):
+        target += u > cdf[:, j].take(rows)
 
     logits = rng.gumbels(
         rng.derive_seed(spec.seed, _TAG_GUMBEL), np.arange(n * m)
     ).reshape(n, m)
-    logits[np.arange(n), target] += spec.sharpness[labels - 1]
+    logits[np.arange(n), target] += spec.sharpness[rows]
     logits /= spec.temperature
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    logits -= row_reduce(np.maximum, logits)[:, None]
+    probs = np.exp(logits, out=logits)
+    probs /= row_reduce(np.add, probs)[:, None]
     return probs
 
 

@@ -23,7 +23,9 @@ from sscuq.grids import (
     ProbOccupancyGrid,
     SoftmaxGrid,
     ValidationError,
+    row_reduce,
 )
+from sscuq.conformal import CalibrationSet
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +84,67 @@ def test_softmax_grid_rejects_bad_sum():
     probs = np.full((1, 1, 1, 4), 0.125)
     with pytest.raises(ValidationError):
         SoftmaxGrid(probs)
+
+
+_SUM_EDGE = [
+    ("+0.9e-5", True),
+    ("-0.9e-5", True),
+    ("+1.1e-5", False),
+    ("-1.1e-5", False),
+    ("nan", False),
+    ("negative", False),
+]
+
+
+def _rows_with(m: int, case: str, at: int) -> np.ndarray:
+    """Seven uniform softmax rows; row ``at`` is altered per ``case``."""
+    rows = np.full((7, m), 1.0 / m)
+    if case == "nan":
+        rows[at, 1] = np.nan
+    elif case == "negative":
+        rows[at, :2] = (-0.01, rows[at, 1] + 0.01 + 1.0 / m)
+    else:
+        rows[at, -1] += float(case)
+    return rows
+
+
+@pytest.mark.parametrize("case, ok", _SUM_EDGE)
+@pytest.mark.parametrize("m", [2, 5, 9])
+@pytest.mark.parametrize("at", [0, 6])
+def test_softmax_sum_tolerance_edge(m, case, ok, at):
+    rows = _rows_with(m, case, at)
+    labels = np.ones(rows.shape[0], dtype=np.int64)
+    if ok:
+        SoftmaxGrid(rows.reshape(1, 1, -1, m))
+        CalibrationSet(rows, labels)
+    else:
+        with pytest.raises(ValidationError):
+            SoftmaxGrid(rows.reshape(1, 1, -1, m))
+        with pytest.raises(ValidationError):
+            CalibrationSet(rows, labels)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_row_reduce_is_bit_identical_to_numpy(m):
+    gen = np.random.default_rng(m)
+    a = gen.random((500, m)) ** 4 * 10.0 ** gen.uniform(-12, 6, (500, m))
+    a[::3] *= -1
+    a[1, :] = -0.0
+    a[2, 0] = np.nan
+    a[4, -1] = np.inf
+    cases = [
+        (np.add, a, None),
+        (np.add, a.reshape(5, 100, m), None),
+        (np.add, a.astype(np.float32), np.float64),
+        (np.add, a > 0.5, np.int64),
+        (np.maximum, a, None),
+        (np.add, a[0], None),
+    ]
+    for ufunc, x, dtype in cases:
+        got = row_reduce(ufunc, x, dtype=dtype)
+        want = ufunc.reduce(x, axis=-1, dtype=dtype)
+        assert got.dtype == want.dtype and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_label_grid_rejects_zero_label():

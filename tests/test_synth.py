@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sscuq.grids import LabelGrid, ValidationError
+from sscuq import rng, synth
+from sscuq.grids import GridGeometry, LabelGrid, ValidationError
 from sscuq.synth import (
     ClassifierSpec,
     GenerationError,
@@ -64,8 +67,40 @@ def test_scene_impossible_template_raises():
         class_mix={3: 0.2},
         templates=(ObjectTemplate(3, "box", ((50.0, 60.0), (50.0, 60.0), (50.0, 60.0))),),
     )
-    with pytest.raises(GenerationError):
+    # 2000 attempts of three draws each: the draws cross five blocks
+    with pytest.raises(
+        GenerationError,
+        match=r"^template for class 3 cannot fit its target: "
+        r"0 of 11796 voxels placed in 2000 attempts$",
+    ):
         generate_scene(spec)
+
+
+_BLOCK = synth._DRAW_BLOCK
+
+
+def _wide_scene_spec(seed):
+    geom = GridGeometry(dims=(64, 128, 64), voxel_edge=0.2, origin=(-11.2, -12.8, 0.4))
+    return dataclasses.replace(default_scene_spec(seed), geometry=geom)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_scene_block_draws_match_one_draw_per_call(monkeypatch, block):
+    spec = _wide_scene_spec(seed=3)
+    blocked = generate_scene(spec)
+    calls = []
+    uniforms = rng.uniforms
+
+    def counted(seed, counters):
+        calls.append(np.size(counters))
+        return uniforms(seed, counters)
+
+    monkeypatch.setattr(rng, "uniforms", counted)
+    monkeypatch.setattr(synth, "_DRAW_BLOCK", block)
+    oracle = generate_scene(spec)
+    assert np.array_equal(oracle.labels, blocked.labels)
+    assert sum(calls) > 2 * _BLOCK  # the draws cross at least two blocks
+    assert set(calls) == {block}
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +218,35 @@ def test_draw_labels_matches_fractions():
     for y, f in enumerate(mix, start=1):
         got = np.mean(labels == y)
         assert abs(got - f) <= 4 * np.sqrt(f * (1 - f) / labels.size)
+
+
+def _classify_reference(labels, spec):
+    """classify_labels as written with numpy's axis reductions."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    n, m = labels.size, spec.class_count
+    u = rng.uniforms(rng.derive_seed(spec.seed, synth._TAG_TARGET), np.arange(n))
+    cdf = np.cumsum(spec.confusion, axis=1)[labels - 1]
+    target = (u[:, None] > cdf[:, :-1]).sum(axis=1)
+    logits = rng.gumbels(
+        rng.derive_seed(spec.seed, synth._TAG_GUMBEL), np.arange(n * m)
+    ).reshape(n, m)
+    logits[np.arange(n), target] += spec.sharpness[labels - 1]
+    logits /= spec.temperature
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+@pytest.mark.parametrize("n", [0, 1, 4097])
+@pytest.mark.parametrize("m", [2, 5])
+def test_classify_labels_matches_axis_reductions(m, n):
+    if m == 5:
+        spec = default_classifier_spec(seed=17)
+    else:
+        spec = ClassifierSpec(np.array([[0.7, 0.3], [0.2, 0.8]]), (2.0, 5.0), 1.3, seed=17)
+    labels = draw_labels(n, [1.0 / m] * m, seed=18)
+    got = classify_labels(labels, spec)
+    want = _classify_reference(labels, spec)
+    assert got.shape == want.shape == (n, m)
+    assert got.tobytes() == want.tobytes()
