@@ -13,7 +13,6 @@ import dataclasses
 import json
 import sys
 
-from .conformal import HcpConfig
 from .container import ContainerError
 from .grids import ValidationError
 from .pipeline import (
@@ -62,10 +61,9 @@ def _parse_rate_pairs(pairs, flag: str) -> dict[int, float]:
 
 
 def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
+    changes = {}
     if getattr(args, "split", None) is not None:
-        if not 0.0 < args.split < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {args.split}")
-        cfg = dataclasses.replace(cfg, split_fraction=args.split)
+        changes["split_fraction"] = args.split
 
     alpha_target = _parse_rate_pairs(getattr(args, "alpha_target", None), "--alpha-target")
     alpha_o = _parse_rate_pairs(getattr(args, "alpha_o", None), "--alpha-o")
@@ -73,27 +71,28 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     epsilon = getattr(args, "epsilon", None)
     if alpha_target or alpha_o or rare or epsilon is not None:
         hcp = cfg.hcp
-        new_targets = dict(hcp.alpha_target)
-        new_targets.update(alpha_target)
-        new_rare = frozenset(_parse_class_key(k) for k in rare.split(",")) if rare else hcp.rare_set
-        new_alpha_o = dict(hcp.alpha_o)
-        new_alpha_o.update(alpha_o)
-        new_alpha_o = {y: a for y, a in new_alpha_o.items() if y in new_rare}
-        missing = sorted(new_rare - set(new_alpha_o))
+        rare_set = frozenset(_parse_class_key(k) for k in rare.split(",")) if rare else hcp.rare_set
+        stray = sorted(set(alpha_o) - rare_set)
+        if stray:
+            raise ConfigError(
+                f"--alpha-o given for classes {stray} outside the rare set {sorted(rare_set)}"
+            )
+        # a new rare set drops the config's rates for classes outside it
+        alpha_o = {y: a for y, a in hcp.alpha_o.items() if y in rare_set} | alpha_o
+        missing = sorted(rare_set - set(alpha_o))
         if missing:
             raise ConfigError(f"--alpha-o missing for rare classes {missing}")
         try:
-            hcp = HcpConfig(
-                class_count=hcp.class_count,
-                rare_set=new_rare,
-                alpha_o=new_alpha_o,
-                alpha_target=new_targets,
+            changes["hcp"] = dataclasses.replace(
+                hcp,
+                rare_set=rare_set,
+                alpha_o=alpha_o,
+                alpha_target={**hcp.alpha_target, **alpha_target},
                 epsilon=hcp.epsilon if epsilon is None else epsilon,
             )
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg = dataclasses.replace(cfg, hcp=hcp)
-    return cfg
+    return dataclasses.replace(cfg, **changes)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

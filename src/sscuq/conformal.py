@@ -31,7 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from .container import atomic_write
-from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError, row_reduce
+from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError, decode, row_reduce
 
 __all__ = [
     "DegeneracyWarning",
@@ -227,7 +227,7 @@ def class_quantiles(score, cal: CalibrationSet, alpha: Mapping[int, float]) -> d
 
 def _require_classes(name: str, values: Mapping[int, float], classes) -> None:
     if set(values) != set(classes):
-        raise ValidationError(f"model field {name!r} must cover exactly classes {sorted(classes)}")
+        raise ValidationError(f"{name} must cover exactly classes {sorted(classes)}")
 
 
 def _quantile_row(quantiles: Mapping[int, float], class_count: int) -> np.ndarray:
@@ -304,7 +304,7 @@ class HcpModel(_Model):
 
     def __post_init__(self):
         if not self.rare_set:
-            raise ValidationError("model field 'rare_set' must be non-empty")
+            raise ValidationError("rare_set must be non-empty")
         _require_classes("q_o", self.q_o, self.rare_set)
         _require_classes("q_s", self.q_s, range(2, self.class_count + 1))
 
@@ -491,31 +491,12 @@ def _encode_rates(d: Mapping[int, float]) -> dict:
     return {str(y): _encode_value(v) for y, v in sorted(d.items())}
 
 
-def _decode_value(v) -> float:
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
-
-
-def _decode_rates(d: Mapping) -> dict[int, float]:
-    return {int(y): _decode_value(v) for y, v in d.items()}
-
-
-def _int(value) -> int:
-    """``int(value)``, refusing a number with a fractional part (2.0 passes)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-# field annotation (a string under postponed evaluation) -> (encode, decode)
-_FIELD_CODECS = {
-    "int": (int, _int),
-    "float": (_encode_value, _decode_value),
-    "frozenset[int]": (sorted, lambda v: frozenset(_int(y) for y in v)),
-    "Mapping[int, float]": (_encode_rates, _decode_rates),
+# field annotation (a string under postponed evaluation) -> JSON encoder
+_ENCODERS = {
+    "int": int,
+    "float": _encode_value,
+    "frozenset[int]": sorted,
+    "Mapping[int, float]": _encode_rates,
 }
 _MODEL_TYPES = {"hcp": HcpModel, "scp": ScpModel, "cccp": CccpModel}
 _METHODS = {cls: method for method, cls in _MODEL_TYPES.items()}
@@ -528,7 +509,7 @@ def save_model(model, path, extra: dict | None = None) -> None:
     """
     doc = {"method": _METHODS[type(model)]}
     for f in fields(model):
-        doc[f.name] = _FIELD_CODECS[f.type][0](getattr(model, f.name))
+        doc[f.name] = _ENCODERS[f.type](getattr(model, f.name))
     doc.update(extra or {})
     atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
@@ -552,16 +533,10 @@ def load_model(path, extra: dict | None = None):
     cls = _MODEL_TYPES.get(method) if isinstance(method, str) else None
     if cls is None:
         raise ValidationError(
-            f"model field 'method' must be one of {sorted(_MODEL_TYPES)}, got {method!r}"
+            f"model.method must be one of {sorted(_MODEL_TYPES)}, got {method!r}"
         )
-    values = {}
-    for f in fields(cls):
-        if f.name not in doc:
-            raise ValidationError(f"model field {f.name!r} is missing")
-        try:
-            values[f.name] = _FIELD_CODECS[f.type][1](doc[f.name])
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"model field {f.name!r} is malformed: {exc}") from None
+    model = decode(cls, doc, "model", ValidationError)
     if extra is not None:
-        extra.update((k, v) for k, v in doc.items() if k != "method" and k not in values)
-    return cls(**values)
+        names = {f.name for f in fields(cls)}
+        extra.update((k, v) for k, v in doc.items() if k != "method" and k not in names)
+    return model

@@ -7,12 +7,17 @@ are 1-based throughout the package; class 1 is the empty class.
 
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NewType, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 __all__ = [
     "ValidationError",
+    "Seed",
+    "decode",
     "CameraIntrinsics",
     "GridGeometry",
     "DepthEstimate",
@@ -29,6 +34,86 @@ SOFTMAX_SUM_TOL = 1e-5  # absorbs float32 serialization error
 
 class ValidationError(ValueError):
     """A domain type invariant does not hold."""
+
+
+# a seed of the rng streams: an integer in [0, 2**64)
+Seed = NewType("Seed", int)
+
+
+def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
+    """Decode the JSON value ``doc`` as ``cls``, by annotations.
+
+    ``cls`` is a dataclass, built from the JSON object ``doc`` by the
+    type hint of each field, or one such hint: ``int`` (a fraction is
+    refused), ``Seed``, ``float`` (``"inf"``/``"-inf"`` included),
+    ``str``, ``np.ndarray`` (float64), fixed and ``...`` tuples,
+    ``frozenset`` and ``Mapping`` of these, and nested dataclasses (the
+    items of a tuple of them are named ``where.field[i]``).  Keys that
+    are not fields are ignored.
+
+    A field named in ``fixed`` takes that value and is never read from
+    ``doc``.  A field missing from ``doc`` is filled from ``defaults``,
+    then from the field's own default; failing both it is an error.
+
+    Every error is raised as ``error`` naming what failed: "where.field
+    is missing", "where.field is malformed: ..." for a value of the
+    wrong form, and "where: ..." for a ValidationError of the
+    constructor.
+    """
+    if not dataclasses.is_dataclass(cls):
+        try:
+            return _value(cls, doc, where, error)
+        except error:  # a nested dataclass's error names its own field
+            raise
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise error(f"{where} is malformed: {exc}") from None
+    if not isinstance(doc, Mapping):
+        raise error(f"{where} must be an object, got {type(doc).__name__}")
+    hints = get_type_hints(cls)
+    values = dict(fixed)
+    for f in dataclasses.fields(cls):
+        name = f"{where}.{f.name}"
+        if f.name in values:
+            continue
+        if f.name in doc:
+            values[f.name] = decode(hints[f.name], doc[f.name], name, error)
+        elif f.name in defaults:
+            values[f.name] = defaults[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise error(f"{name} is missing")
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+def _value(hint, v, where: str, error: type[Exception]):
+    """``v`` decoded as ``hint``; a value of the wrong form raises
+    TypeError, ValueError, AttributeError or OverflowError."""
+    if hint is int or hint is Seed:
+        if isinstance(v, float) and not v.is_integer():
+            raise ValueError(f"{v!r} is not an integer")
+        v = int(v)
+        if hint is Seed and not 0 <= v < 2**64:
+            raise ValueError(f"seeds must lie in [0, 2**64), got {v}")
+        return v
+    if hint is np.ndarray:
+        return np.asarray(v, dtype=np.float64)
+    if dataclasses.is_dataclass(hint):
+        return decode(hint, v, where, error)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple and args[-1] is Ellipsis:
+        return tuple(_value(args[0], x, f"{where}[{i}]", error) for i, x in enumerate(v))
+    if origin is tuple:
+        if len(v) != len(args):
+            raise ValueError(f"expected {len(args)} items, got {len(v)}")
+        return tuple(_value(a, x, where, error) for a, x in zip(args, v))
+    if origin is frozenset:
+        return frozenset(_value(args[0], x, where, error) for x in v)
+    if origin is Mapping:
+        key, val = args
+        return {_value(key, k, where, error): _value(val, x, where, error) for k, x in v.items()}
+    return hint(v)  # float (float("inf") is inf) and str
 
 
 def row_reduce(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .conformal import (
     CalibrationSet,
     DegeneracyWarning,
     HcpConfig,
-    _int,
     cccp_calibrate,
     hcp_calibrate,
     load_model,
@@ -36,8 +36,10 @@ from .grids import (
     CameraIntrinsics,
     GridGeometry,
     LabelGrid,
+    Seed,
     SoftmaxGrid,
     ValidationError,
+    decode,
 )
 from .metrics import (
     MetricsReport,
@@ -51,7 +53,6 @@ from .metrics import (
 from .projection import build_binary_grid, build_prob_grid
 from .synth import (
     ClassifierSpec,
-    ObjectTemplate,
     SceneSpec,
     default_classifier_spec,
     default_geometry,
@@ -121,45 +122,40 @@ class PipelineConfig:
             seed=seed,
         )
 
+    def __post_init__(self):
+        if not 0.0 < self.split_fraction < 1.0:
+            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        a, b = self.noise_a, self.noise_b
+        if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
+            raise ConfigError("noise.a and noise.b must be finite and >= 0 with a positive sum")
+
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
         """Build a config from a JSON document; absent sections default."""
-        seed = _field(doc, "seed", "seed", _seed, 0)
+        seed = _scalar(doc, "seed", Seed, 0)
         base = cls.default(seed)
-        for key in _SECTIONS:
-            if key in doc:
-                _object(doc[key], key)
-        try:
-            geometry = _parse_geometry(doc["geometry"]) if "geometry" in doc else base.geometry
-            intrinsics = (
-                _parse_intrinsics(doc["intrinsics"]) if "intrinsics" in doc else base.intrinsics
-            )
-            scene = _parse_scene(doc.get("scene", {}), geometry, seed)
-            classifier = (
-                _parse_classifier(doc["classifier"], seed)
-                if "classifier" in doc
-                else base.classifier
-            )
-            hcp = _parse_hcp(doc["hcp"], scene.class_count) if "hcp" in doc else base.hcp
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+
+        def section(key, kind, defaults={}):
+            if key not in doc:
+                return getattr(base, key)
+            return decode(kind, doc[key], key, ConfigError, defaults)
+
+        geometry = section("geometry", GridGeometry)
+        # the scene is always built on the top-level geometry
+        scene = decode(
+            SceneSpec, doc.get("scene", {}), "scene", ConfigError, vars(base.scene),
+            fixed={"geometry": geometry},
+        )
         noise = doc.get("noise", {})
-        noise_a = _field(noise, "a", "noise.a", float, base.noise_a)
-        noise_b = _field(noise, "b", "noise.b", float, base.noise_b)
-        if noise_a < 0 or noise_b < 0 or noise_a + noise_b <= 0:
-            raise ConfigError("noise.a and noise.b must be >= 0 with a positive sum")
-        split = _field(doc, "split_fraction", "split_fraction", float, base.split_fraction)
-        if not 0.0 < split < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {split}")
         return cls(
             geometry=geometry,
-            intrinsics=intrinsics,
+            intrinsics=section("intrinsics", CameraIntrinsics),
             scene=scene,
-            classifier=classifier,
-            hcp=hcp,
-            noise_a=noise_a,
-            noise_b=noise_b,
-            split_fraction=split,
+            classifier=section("classifier", ClassifierSpec, vars(base.classifier)),
+            hcp=section("hcp", HcpConfig, {"class_count": scene.class_count}),
+            noise_a=_scalar(noise, "a", float, base.noise_a, "noise"),
+            noise_b=_scalar(noise, "b", float, base.noise_b, "noise"),
+            split_fraction=_scalar(doc, "split_fraction", float, base.split_fraction),
             seed=seed,
         )
 
@@ -181,117 +177,12 @@ class PipelineConfig:
         return cls.from_json_dict(doc)
 
 
-_SECTIONS = ("geometry", "intrinsics", "scene", "classifier", "hcp", "noise")
-_REQUIRED = object()
-
-
-def _object(value, name: str) -> Mapping:
-    """``value`` when it is a JSON object; otherwise ConfigError naming it."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{name} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _field(doc: Mapping, key: str, name: str, kind, default=_REQUIRED):
-    """``kind(doc[key])``, or ``kind(default)`` when the key is absent.
-
-    A missing required field, or a value of the wrong JSON type or form,
-    raises ConfigError naming the field.
-    """
-    if key not in doc and default is _REQUIRED:
-        raise ConfigError(f"{name} is missing")
-    value = doc.get(key, default)
-    try:
-        return kind(value)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"{name} is malformed: {exc}") from None
-
-
-def _seed(value) -> int:
-    seed = _int(value)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seeds must lie in [0, 2**64), got {seed}")
-    return seed
-
-
-def _rates(value) -> dict[int, float]:
-    return {int(y): float(a) for y, a in value.items()}
-
-
-def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
-
-
-def _parse_geometry(doc: Mapping) -> GridGeometry:
-    return GridGeometry(
-        dims=_field(doc, "dims", "geometry.dims", lambda v: tuple(_int(n) for n in v)),
-        voxel_edge=_field(doc, "voxel_edge", "geometry.voxel_edge", float),
-        origin=_field(doc, "origin", "geometry.origin", lambda v: [float(c) for c in v]),
-    )
-
-
-def _parse_intrinsics(doc: Mapping) -> CameraIntrinsics:
-    return CameraIntrinsics(
-        f_u=_field(doc, "f_u", "intrinsics.f_u", float),
-        f_v=_field(doc, "f_v", "intrinsics.f_v", float),
-        c_h=_field(doc, "c_h", "intrinsics.c_h", float),
-        c_w=_field(doc, "c_w", "intrinsics.c_w", float),
-        height=_field(doc, "height", "intrinsics.height", _int),
-        width=_field(doc, "width", "intrinsics.width", _int),
-    )
-
-
-def _parse_template(value, name: str) -> ObjectTemplate:
-    doc = _object(value, name)
-    try:
-        return ObjectTemplate(
-            class_id=_field(doc, "class_id", f"{name}.class_id", _int),
-            kind=_field(doc, "kind", f"{name}.kind", str),
-            size=_field(
-                doc, "size", f"{name}.size", lambda v: tuple((float(a), float(b)) for a, b in v)
-            ),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
-
-
-def _parse_scene(doc: Mapping, geometry: GridGeometry, seed: int) -> SceneSpec:
-    base = default_scene_spec(seed)
-    templates = base.templates
-    if "templates" in doc:
-        templates = tuple(
-            _parse_template(t, f"scene.templates[{i}]")
-            for i, t in enumerate(_field(doc, "templates", "scene.templates", list))
-        )
-    return SceneSpec(
-        geometry=geometry,
-        class_count=_field(doc, "class_count", "scene.class_count", _int, base.class_count),
-        class_mix=_field(doc, "class_mix", "scene.class_mix", _rates, base.class_mix),
-        templates=templates,
-        seed=_field(doc, "seed", "scene.seed", _seed, seed),
-    )
-
-
-def _parse_classifier(doc: Mapping, seed: int) -> ClassifierSpec:
-    base = default_classifier_spec(seed)
-    return ClassifierSpec(
-        confusion=_field(doc, "confusion", "classifier.confusion", _array, base.confusion),
-        sharpness=_field(doc, "sharpness", "classifier.sharpness", _array, base.sharpness),
-        temperature=_field(doc, "temperature", "classifier.temperature", float, base.temperature),
-        seed=_field(doc, "seed", "classifier.seed", _seed, seed),
-    )
-
-
-def _parse_hcp(doc: Mapping, class_count: int) -> HcpConfig:
-    return HcpConfig(
-        class_count=_field(doc, "class_count", "hcp.class_count", _int, class_count),
-        rare_set=_field(doc, "rare_set", "hcp.rare_set", lambda v: frozenset(_int(y) for y in v)),
-        alpha_o=_field(doc, "alpha_o", "hcp.alpha_o", _rates),
-        alpha_target=_field(doc, "alpha_target", "hcp.alpha_target", _rates),
-        epsilon=_field(doc, "epsilon", "hcp.epsilon", float, 0.01),
-    )
+def _scalar(doc, key: str, hint, default, where: str = ""):
+    """``doc[key]``, or ``default`` when absent, decoded as ``hint``;
+    ConfigError names ``where.key`` when ``doc`` or the value is malformed."""
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
+    return decode(hint, doc.get(key, default), f"{where}.{key}" if where else key, ConfigError)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +333,9 @@ def run_evaluate(
     """Apply a saved model to the test split and report metrics."""
     extra: dict = {}
     model = load_model(model_path, extra=extra)
-    split = _object(extra.get("split", {}), "model field 'split'")
-    fraction = _field(split, "fraction", "model field split.fraction", float, 0.3)
-    seed = _field(split, "seed", "model field split.seed", _seed, 0)
+    split = extra.get("split", {})
+    fraction = _scalar(split, "fraction", float, 0.3, "model.split")
+    seed = _scalar(split, "seed", Seed, 0, "model.split")
 
     softmax, labels = _load_pair(softmax_path, labels_path)
     test = ~split_mask(labels.labels.size, fraction, seed)

@@ -23,6 +23,7 @@ from .grids import (
     GridGeometry,
     GroundTruthDepth,
     LabelGrid,
+    Seed,
     SoftmaxGrid,
     ValidationError,
     row_reduce,
@@ -96,7 +97,7 @@ class SceneSpec:
     class_count: int
     class_mix: Mapping[int, float]
     templates: tuple[ObjectTemplate, ...]
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         mix = {int(y): float(f) for y, f in dict(self.class_mix).items()}
@@ -129,15 +130,16 @@ class ClassifierSpec:
     """
 
     confusion: np.ndarray
-    sharpness: float | Sequence[float]
+    sharpness: np.ndarray
     temperature: float
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         conf = np.asarray(self.confusion, dtype=np.float64)
         if conf.ndim != 2 or conf.shape[0] != conf.shape[1] or conf.shape[0] < 2:
             raise ValidationError("confusion must be a square matrix, M >= 2")
-        if np.any(conf < 0) or np.any(np.abs(conf.sum(axis=1) - 1.0) > 1e-9):
+        # each test is written so that a NaN fails it
+        if not np.all(conf >= 0) or not np.all(np.abs(conf.sum(axis=1) - 1.0) <= 1e-9):
             raise ValidationError("confusion rows must be probability vectors")
         conf = np.ascontiguousarray(conf)
         conf.setflags(write=False)
@@ -145,13 +147,13 @@ class ClassifierSpec:
         sharp = np.asarray(self.sharpness, dtype=np.float64)
         if sharp.ndim == 0:
             sharp = np.full(conf.shape[0], float(sharp))
-        if sharp.shape != (conf.shape[0],) or np.any(sharp <= 0):
-            raise ValidationError("sharpness must be positive, scalar or one per class")
+        if sharp.shape != (conf.shape[0],) or not np.all((sharp > 0) & (sharp < np.inf)):
+            raise ValidationError("sharpness must be positive and finite, scalar or one per class")
         sharp = np.ascontiguousarray(sharp)
         sharp.setflags(write=False)
         object.__setattr__(self, "sharpness", sharp)
-        if not self.temperature > 0:
-            raise ValidationError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValidationError("temperature must be positive and finite")
 
     @property
     def class_count(self) -> int:

@@ -1,15 +1,18 @@
 import copy
+import dataclasses
 import json
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscuq.cli import main
+from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.container import read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
 from sscuq.pipeline import PipelineConfig
@@ -439,11 +442,82 @@ def test_non_integer_in_integer_field_is_config_error(tmp_path, capsys, doc, fie
     assert json.loads(err)["error"].startswith(f"{field} ")
 
 
+_NAN_CONFUSION = [*np.eye(5)[:4].tolist(), [float("nan"), 0.05, 0.05, 0.25, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ({"noise": {"a": "nan"}}, ["noise.a"]),
+        ({"noise": {"a": "inf"}}, ["noise.a"]),
+        # a NaN row passes a check that its sum is not far from 1
+        ({"classifier": {"confusion": _NAN_CONFUSION}}, ["classifier", "confusion"]),
+        ({"classifier": {"sharpness": "inf"}}, ["classifier", "sharpness"]),
+        ({"classifier": {"temperature": float("inf")}}, ["classifier", "temperature"]),
+        # too large for a float
+        ({"split_fraction": 10**400}, ["split_fraction"]),
+    ],
+)
+def test_config_number_that_is_not_a_finite_float_is_config_error(tmp_path, capsys, doc, names):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = ["calibrate", "--config", str(cfg), *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert code == 2, err
+    message = json.loads(err)["error"]
+    assert all(name in message for name in names), message
+
+
+def test_alpha_o_outside_the_rare_set_is_config_error(tmp_path, capsys):
+    argv = ["calibrate", *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv, "--alpha-o", "car=0.2")
+    assert code == 2, err
+    assert "[4]" in json.loads(err)["error"]
+    # a new rare set still drops the config's rate for the old one
+    args = build_parser().parse_args([*argv, "--rare", "car", "--alpha-o", "car=0.2"])
+    assert _apply_overrides(PipelineConfig.default(), args).hcp.alpha_o == {4: 0.2}
+
+
 def test_integral_float_in_integer_field_is_accepted():
     geometry = {"dims": [64.0, 64, 16], "voxel_edge": 0.2, "origin": [0, 0, 0]}
     cfg = PipelineConfig.from_json_dict({"seed": 2.0, "geometry": geometry})
     assert cfg.seed == 2 and type(cfg.seed) is int
     assert cfg.geometry.dims == (64, 64, 16)
+
+
+def _readme_config() -> dict:
+    """The config of README's "Config schema" section, comments removed."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads(re.sub(r"//.*", "", block))
+
+
+def _assert_same(a, b, where="config"):
+    """Field by field equality of two configs; arrays by value and dtype."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
+def test_documented_config_schema_decodes_to_the_defaults():
+    doc = _readme_config()
+    _assert_same(PipelineConfig.from_json_dict(doc), PipelineConfig.default())
+    # the scene's geometry is the top-level one; keys outside the schema are ignored
+    other = {"dims": [2, 2, 2], "voxel_edge": 1.0, "origin": [0, 0, 0]}
+    doc["scene"]["geometry"] = other
+    for section in (doc, doc["noise"], doc["geometry"], doc["intrinsics"], doc["scene"],
+                    *doc["scene"]["templates"], doc["classifier"], doc["hcp"]):
+        section["unknown"] = other
+    _assert_same(PipelineConfig.from_json_dict(doc), PipelineConfig.default())
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -509,15 +583,17 @@ def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(
 
 
 # ---------------------------------------------------------------------------
-# fuzzing: one field of a valid input replaced by a small JSON value.  Sizes
-# stay small (integers within +-100) because a valid but huge config, say a
-# 1e12-pixel image, is a real request the commands would try to allocate.
+# fuzzing: one field of a valid input replaced by a small JSON value, deleted,
+# or given an unknown sibling.  Sizes stay small (integers within +-100)
+# because a valid but huge config, say a 1e12-pixel image, is a real request
+# the commands would try to allocate.
 
 _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers(-100, 100)
     | st.floats(-100, 100)
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
     | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["1", "2", "5", "x", ""]), inner, max_size=3),
@@ -563,21 +639,34 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-def _replaced(doc, path, value):
+def _mutated(doc, path, op, value):
+    """``doc`` with the item at ``path`` replaced by ``value``, deleted, or
+    given an unknown sibling holding ``value`` (appended, in a list)."""
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if op == "replace":
+        parent[path[-1]] = value
+    elif op == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["unknown"] = value
+    else:
+        parent.append(value)
     return doc
 
 
-@given(path=st.sampled_from(list(_paths(_TINY_CONFIG))), value=_JSON_VALUES)
+@given(
+    path=st.sampled_from(list(_paths(_TINY_CONFIG))),
+    op=st.sampled_from(["replace", "delete", "add"]),
+    value=_JSON_VALUES,
+)
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_config_exits_with_a_code(tmp_path_factory, path, value):
+def test_fuzzed_config_exits_with_a_code(tmp_path_factory, path, op, value):
     tmp = tmp_path_factory.mktemp("fuzz")
     cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps(_replaced(_TINY_CONFIG, path, value)))
+    cfg.write_text(json.dumps(_mutated(_TINY_CONFIG, path, op, value)))
     code = main(["calibrate", "--config", str(cfg), *_required("calibrate", tmp)])
     assert code in (2, 3)  # the data files are missing
 
@@ -639,7 +728,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 import sscuq
-from sscuq.cli import main
+from sscuq.cli import _apply_overrides, build_parser, main
 
 print("probe", json.dumps(["import", 0, scipy_modules()]))
 for argv in json.loads(sys.argv[1]):
