@@ -32,7 +32,6 @@ from .projection import (
     RaySegment,
     build_binary_grid,
     build_prob_grid,
-    pixel_to_point,
     traverse_ray,
 )
 from .conformal import (

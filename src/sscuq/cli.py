@@ -98,13 +98,18 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     parser.add_argument("--seed", type=int, help="override the config seed")
+
+
+def _add_threads(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
         default=1,
-        help="worker threads for ray traversal (simulate, project); "
-        "results are identical for any value",
+        help="worker threads for ray traversal; results are identical for any value",
     )
+
+
+def _add_strict(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strict",
         action="store_true",
@@ -122,22 +127,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic world, depths, softmax")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("project", help="project a depth file into a voxel grid")
     _add_common(p)
+    _add_threads(p)
     p.add_argument("--depth", required=True, help="SSCG depth_estimate (or depth) file")
     p.add_argument("--out", required=True)
     p.add_argument("--binary", action="store_true", help="point-count grid of the means")
-    p.add_argument(
-        "--sigma-cut",
-        type=float,
-        default=None,
-        help="optional speed cut: truncate rays this many sigmas past the mean",
-    )
 
     p = sub.add_parser("calibrate", help="fit scp/cccp/hcp on the calibration split")
     _add_common(p)
+    _add_strict(p)
     p.add_argument("--softmax", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--method", choices=("scp", "cccp", "hcp"), default="hcp")
@@ -168,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="recall/IoU table for a gate score function")
     _add_common(p)
+    _add_strict(p)
     p.add_argument("--softmax", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--score", choices=("kl", "class", "occupied"), default="kl")
@@ -182,22 +185,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        threads = getattr(args, "threads", 1)
+        if threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {threads}")
         cfg = PipelineConfig.load(args.config, seed_override=args.seed)
         cfg = _apply_overrides(cfg, args)
 
         if args.command == "simulate":
-            summary = run_simulate(cfg, args.out_dir, threads=args.threads)
+            summary = run_simulate(cfg, args.out_dir, threads=threads)
         elif args.command == "project":
-            summary = run_project(
-                args.depth,
-                cfg,
-                args.out,
-                binary=args.binary,
-                sigma_cut=args.sigma_cut,
-                threads=args.threads,
-            )
+            summary = run_project(args.depth, cfg, args.out, binary=args.binary, threads=threads)
         elif args.command == "calibrate":
             summary = run_calibrate(args.softmax, args.labels, cfg, args.method, args.out)
         elif args.command == "evaluate":
@@ -219,7 +216,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
     print(json.dumps(summary, sort_keys=True))
-    if args.strict and summary.get("warnings"):
+    if getattr(args, "strict", False) and summary["warnings"]:
         return EXIT_DEGENERATE
     return EXIT_OK
 

@@ -178,24 +178,18 @@ class CalibrationSet:
         return self.probs.shape[1]
 
     @classmethod
-    def from_grids(cls, grid: SoftmaxGrid, labels: LabelGrid, mask=None) -> "CalibrationSet":
-        """Collect (vector, label) records from aligned grids.
-
-        ``mask`` selects voxels (boolean grid or flat boolean array);
-        all voxels by default.
-        """
+    def from_grids(cls, grid: SoftmaxGrid, labels: LabelGrid, mask) -> "CalibrationSet":
+        """Collect (vector, label) records of the voxels that ``mask``
+        (boolean grid or flat boolean array) selects from aligned grids."""
         if grid.dims != labels.dims:
             raise ValidationError(f"grid dims {grid.dims} != label dims {labels.dims}")
         if grid.class_count != labels.class_count:
             raise ValidationError("class counts differ between grids")
-        probs = grid.flat()
-        labs = labels.flat()
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool).reshape(-1)
-            if mask.shape != labs.shape:
-                raise ValidationError("mask size must match the voxel count")
-            probs, labs = probs[mask], labs[mask]
-        return cls(probs, labs)
+        probs, labs = grid.flat(), labels.flat()
+        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        if mask.shape != labs.shape:
+            raise ValidationError("mask size must match the voxel count")
+        return cls(probs[mask], labs[mask])
 
 
 def class_quantiles(score, cal: CalibrationSet, alpha: Mapping[int, float]) -> dict[int, float]:
@@ -340,23 +334,18 @@ def scp_calibrate(cal: CalibrationSet, alpha: float) -> ScpModel:
     return ScpModel(class_count=cal.class_count, alpha=alpha, q=conformal_quantile(scores, alpha))
 
 
-def _alpha_map(alpha, classes) -> dict[int, float]:
-    if isinstance(alpha, Mapping):
-        missing = [y for y in classes if y not in alpha]
-        if missing:
-            raise ValueError(f"no error rate given for classes {missing}")
-        return {y: float(alpha[y]) for y in classes}
-    return {y: float(alpha) for y in classes}
-
-
-def cccp_calibrate(cal: CalibrationSet, alpha) -> CccpModel:
+def cccp_calibrate(cal: CalibrationSet, alpha: Mapping[int, float]) -> CccpModel:
     """Per-class quantiles of 1 - f_y over each class's own records.
 
-    ``alpha`` is a single rate or a mapping {class: rate} covering every
-    class 1..M.  Classes without calibration records get quantile +inf
-    (always included) and raise a DegeneracyWarning.
+    ``alpha`` maps every class 1..M to its error rate.  Classes without
+    calibration records get quantile +inf (always included) and raise a
+    DegeneracyWarning.
     """
-    rates = _alpha_map(alpha, range(1, cal.class_count + 1))
+    classes = range(1, cal.class_count + 1)
+    missing = [y for y in classes if y not in alpha]
+    if missing:
+        raise ValueError(f"no error rate given for classes {missing}")
+    rates = {y: float(alpha[y]) for y in classes}
     quantiles = class_quantiles(score_class, cal, rates)
     return CccpModel(class_count=cal.class_count, alpha=rates, q=quantiles)
 

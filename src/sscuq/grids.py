@@ -154,8 +154,8 @@ class CameraIntrinsics:
     width: int
 
     def __post_init__(self):
-        if not (self.f_u > 0 and self.f_v > 0):
-            raise ValidationError("focal lengths must be positive")
+        if not (0 < self.f_u < np.inf and 0 < self.f_v < np.inf):
+            raise ValidationError("focal lengths f_u and f_v must be positive and finite")
         if not (self.height >= 1 and self.width >= 1):
             raise ValidationError("image dimensions must be at least 1")
         if not (0 <= self.c_h < self.height and 0 <= self.c_w < self.width):

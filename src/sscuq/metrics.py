@@ -25,7 +25,6 @@ from .conformal import (  # noqa: F401
     score_kl,
     score_occupied,
 )
-from .grids import LabelGrid, SoftmaxGrid
 
 __all__ = [
     "GeometryMetrics",
@@ -146,22 +145,21 @@ class SweepRow(NamedTuple):
 
 
 def recall_iou_sweep(
-    grid: SoftmaxGrid,
-    gt: LabelGrid,
+    probs: np.ndarray,
+    labels: np.ndarray,
     cal: CalibrationSet,
     cfg: HcpConfig,
     score_kind: str,
     targets: Sequence[float],
-    eval_mask=None,
 ) -> list[SweepRow]:
     """Geometric-gate trade-off table across occupied-recall targets.
 
     For each target recall r, the gate is calibrated at error rate 1 - r
     with the chosen score function (``kl``, ``class``, or ``occupied``)
-    on the rare classes' calibration records, then scored on the grid's
-    voxels (restricted to ``eval_mask`` when given): achieved occupied
-    recall of the rare class (minimum over the rare set when it has
-    several members) and occupancy IoU.
+    on the rare classes' calibration records, then scored on the
+    evaluation rows ``probs`` (N, M) with true ``labels`` (N,): achieved
+    occupied recall of the rare class (minimum over the rare set when it
+    has several members) and occupancy IoU.
     """
     if score_kind not in ("kl", "class", "occupied"):
         raise ValueError(f"unknown score kind {score_kind!r}")
@@ -170,18 +168,9 @@ def recall_iou_sweep(
         raise ValueError("targets must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise ValueError("targets must be strictly increasing")
-    if grid.dims != gt.dims:
-        raise ValueError(f"dims mismatch: {grid.dims} vs {gt.dims}")
-    if grid.class_count != cfg.class_count or cal.class_count != cfg.class_count:
-        raise ValueError("class counts differ between grid, calibration, and config")
+    if probs.shape[-1] != cfg.class_count or cal.class_count != cfg.class_count:
+        raise ValueError("class counts differ between rows, calibration, and config")
 
-    probs = grid.flat()
-    labels = gt.flat()
-    if eval_mask is not None:
-        eval_mask = np.asarray(eval_mask, dtype=bool).reshape(-1)
-        if eval_mask.shape != labels.shape:
-            raise ValueError("eval_mask size must match the voxel count")
-        probs, labels = probs[eval_mask], labels[eval_mask]
     gt_occ = labels >= 2
     rare = sorted(cfg.rare_set)
     score = {

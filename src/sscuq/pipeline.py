@@ -9,6 +9,7 @@ so later invocations reuse it.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -235,7 +236,6 @@ def run_project(
     cfg: PipelineConfig,
     out_path: str,
     binary: bool = False,
-    sigma_cut: float | None = None,
     threads: int = 1,
 ) -> dict:
     """Build the probabilistic (default) or binary grid from a depth file."""
@@ -256,9 +256,7 @@ def run_project(
                 f"{depth_path} holds a {kind} container; probabilistic projection needs "
                 "depth_estimate, with sigma; rerun with --binary for plain depths"
             )
-        grid = build_prob_grid(
-            est, cfg.intrinsics, cfg.geometry, sigma_cut=sigma_cut, threads=threads
-        )
+        grid = build_prob_grid(est, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = float(grid.values.sum())
     write_grid(grid, out_path, geometry=cfg.geometry)
     return {
@@ -283,6 +281,17 @@ def _load_pair(softmax_path: str, labels_path: str):
     return softmax, labels
 
 
+@contextlib.contextmanager
+def _degeneracies():
+    """Yield a list that receives, when the block ends, the messages of the
+    DegeneracyWarnings raised in it."""
+    notes: list[str] = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegeneracyWarning)
+        yield notes
+    notes += [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
+
+
 def run_calibrate(
     softmax_path: str,
     labels_path: str,
@@ -297,9 +306,7 @@ def run_calibrate(
     mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
     cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
 
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegeneracyWarning)
+    with _degeneracies() as notes:
         if method == "scp":
             alphas = set(cfg.hcp.alpha_target.values())
             model = scp_calibrate(cal, alphas.pop() if len(alphas) == 1 else 0.1)
@@ -307,7 +314,6 @@ def run_calibrate(
             model = cccp_calibrate(cal, {1: 0.1, **cfg.hcp.alpha_target})
         else:
             model = hcp_calibrate(cal, cfg.hcp)
-        notes = [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
 
     save_model(
         model,
@@ -403,9 +409,11 @@ def run_sweep(
     softmax, labels = _load_pair(softmax_path, labels_path)
     mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
     cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
-    rows = recall_iou_sweep(
-        softmax, labels, cal, cfg.hcp, score_kind, targets, eval_mask=~mask
-    )
+    test = ~mask
+    with _degeneracies() as notes:
+        rows = recall_iou_sweep(
+            softmax.flat()[test], labels.flat()[test], cal, cfg.hcp, score_kind, targets
+        )
     if out_csv:
         _write_csv(out_csv, [["target_recall", "achieved_recall", "iou"], *rows])
     return {
@@ -413,4 +421,5 @@ def run_sweep(
         "score": score_kind,
         "rows": [row._asdict() for row in rows],
         "path": out_csv,
+        "warnings": notes,
     }

@@ -29,7 +29,6 @@ from .grids import (
 
 __all__ = [
     "RaySegment",
-    "pixel_to_point",
     "ray_direction",
     "traverse_ray",
     "build_prob_grid",
@@ -45,15 +44,6 @@ class RaySegment(NamedTuple):
     z_exit: float
 
 
-def pixel_to_point(h: float, w: float, z: float, intr: CameraIntrinsics):
-    """Back-project pixel (h, w) at depth z to a camera-frame point."""
-    if not z > 0:
-        raise ValueError(f"depth must be positive, got {z}")
-    x = (h - intr.c_h) * z / intr.f_u
-    y = (w - intr.c_w) * z / intr.f_v
-    return (x, y, z)
-
-
 def ray_direction(h, w, intr: CameraIntrinsics) -> np.ndarray:
     """Direction (dx/dz, dy/dz, 1) of the pixel's ray, depth-parameterized.
 
@@ -67,21 +57,20 @@ def ray_direction(h, w, intr: CameraIntrinsics) -> np.ndarray:
     )
 
 
-def _ray_segments(dirs: np.ndarray, geom: GridGeometry, z_max):
+def _ray_segments(dirs: np.ndarray, geom: GridGeometry):
     """Exact voxel crossings of the rays ``z -> dirs[r] * z`` within the grid.
 
     ``dirs`` is an (R, 3) batch of depth-parameterized directions (third
-    component 1) and ``z_max`` each ray's far limit (broadcast to (R,)).
-    Each ray is clipped to the grid box by its slab entry and exit
-    depths; its crossings of every grid plane inside that range, found
-    in closed form, are sorted into segment bounds.  Returns
+    component 1).  Each ray runs from z = 0 to the grid's far face: it
+    is clipped to the grid box by its slab entry and exit depths, and
+    its crossings of every grid plane inside that range, found in
+    closed form, are sorted into segment bounds.  Returns
     ``(ray, voxel, z_lo, z_hi)``: the ray of each segment, its voxel as
     a C-order flat index into ``geom.dims`` and its depth bounds,
     ordered by ray and then by increasing z, with zero-length segments
     and rays that miss the grid dropped.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
-    z_max = np.broadcast_to(np.asarray(z_max, dtype=np.float64), dirs.shape[:1])
     origin = geom.origin
     edge = geom.voxel_edge
     dims = geom.dims
@@ -92,7 +81,7 @@ def _ray_segments(dirs: np.ndarray, geom: GridGeometry, z_max):
     # nan, as Python's max/min do, so a -0.0 crossing never replaces
     # lo = 0.0 and a nan bound never spreads.
     lo = np.zeros(dirs.shape[0])
-    hi = z_max.copy()
+    hi = np.full(dirs.shape[0], np.inf)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for ax in range(3):
             za = origin[ax] / dirs[:, ax]
@@ -169,23 +158,15 @@ def _for_each_chunk(n_rays: int, threads: int, work, fold) -> None:
 
 
 def traverse_ray(
-    h: float,
-    w: float,
-    intr: CameraIntrinsics,
-    geom: GridGeometry,
-    z_max: float | None = None,
+    h: float, w: float, intr: CameraIntrinsics, geom: GridGeometry
 ) -> list[RaySegment]:
-    """Ordered voxels crossed by pixel (h, w)'s ray with z in (0, z_max].
+    """Ordered voxels crossed by pixel (h, w)'s ray, in increasing depth.
 
     Consecutive segments share their boundary depth, no voxel repeats,
     and corner grazes of zero depth extent are dropped.  A ray that
     misses the grid returns an empty list.
     """
-    if z_max is None:
-        z_max = np.inf
-    elif not z_max > 0:
-        raise ValueError(f"z_max must be positive, got {z_max}")
-    _, voxel, z_lo, z_hi = _ray_segments(ray_direction([h], [w], intr), geom, z_max)
+    _, voxel, z_lo, z_hi = _ray_segments(ray_direction([h], [w], intr), geom)
     idx = np.unravel_index(voxel, geom.dims)
     return [
         RaySegment((int(i), int(j), int(k)), float(a), float(b))
@@ -197,7 +178,6 @@ def build_prob_grid(
     est: DepthEstimate,
     intr: CameraIntrinsics,
     geom: GridGeometry,
-    sigma_cut: float | None = None,
     threads: int = 1,
 ) -> ProbOccupancyGrid:
     """Probabilistic occupancy: per voxel, the clamped sum over rays of the
@@ -206,25 +186,20 @@ def build_prob_grid(
     Pixels are accumulated in raster order into a float64 buffer and the
     total is clamped to 1, so the result is deterministic and the same
     for any ``threads`` (worker threads traversing chunks of rays).
-    ``sigma_cut`` optionally truncates each ray ``sigma_cut`` standard
-    deviations past its depth mean; leave it None for exact results.
     """
     if (est.shape[0], est.shape[1]) != (intr.height, intr.width):
         raise ValueError(
             f"depth map {est.shape} does not match intrinsics "
             f"{(intr.height, intr.width)}"
         )
-    if sigma_cut is not None and not sigma_cut > 0:
-        raise ValueError(f"sigma_cut must be positive, got {sigma_cut}")
 
     rows, cols = np.nonzero(est.valid_mask)
     dirs = ray_direction(rows, cols, intr)
     mean = est.mean[rows, cols]
     sigma = est.sigma[rows, cols]
-    z_max = mean + sigma_cut * sigma if sigma_cut is not None else np.full(rows.size, np.inf)
 
     def work(start, stop):
-        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom, z_max[start:stop])
+        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom)
         ray += start
         return voxel, _interval_prob(z_lo, z_hi, mean[ray], sigma[ray])
 
@@ -238,13 +213,13 @@ def build_binary_grid(
     depth: np.ndarray,
     intr: CameraIntrinsics,
     geom: GridGeometry,
-    valid: np.ndarray | None = None,
+    valid: np.ndarray,
 ) -> BinaryOccupancyGrid:
     """Binary occupancy: a voxel is 1 iff some pixel's point falls inside it.
 
-    ``depth`` holds per-pixel depths; ``valid`` masks the pixels to use
-    (all finite positive entries by default).  Points exactly on a voxel
-    face belong to the voxel with the larger index (half-open voxels).
+    ``depth`` holds per-pixel depths and ``valid`` masks the pixels to
+    use.  Points exactly on a voxel face belong to the voxel with the
+    larger index (half-open voxels).
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (intr.height, intr.width):
@@ -252,14 +227,11 @@ def build_binary_grid(
             f"depth map {depth.shape} does not match intrinsics "
             f"{(intr.height, intr.width)}"
         )
-    if valid is None:
-        valid = np.isfinite(depth) & (depth > 0)
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != depth.shape:
-            raise ValueError("valid mask shape must match the depth map")
-        if np.any(depth[valid] <= 0):
-            raise ValueError("depths must be positive on valid pixels")
+    valid = np.asarray(valid, dtype=bool)
+    if valid.shape != depth.shape:
+        raise ValueError("valid mask shape must match the depth map")
+    if np.any(depth[valid] <= 0):
+        raise ValueError("depths must be positive on valid pixels")
 
     h, w = np.nonzero(valid)
     z = depth[h, w]

@@ -85,8 +85,8 @@ class ObjectTemplate:
                 f"size needs one (min, max) pair per axis (x, y, z), got {len(self.size)}"
             )
         for lo, hi in self.size:
-            if not (0 < lo <= hi):
-                raise ValidationError("size ranges must be positive and ordered")
+            if not (0 < lo <= hi < math.inf):
+                raise ValidationError("size ranges must be positive, finite and ordered")
 
 
 @dataclass(frozen=True)
@@ -103,10 +103,9 @@ class SceneSpec:
         mix = {int(y): float(f) for y, f in dict(self.class_mix).items()}
         if any(y < 2 or y > self.class_count for y in mix):
             raise ValidationError("class_mix keys must be nonempty classes")
-        if any(f < 0 for f in mix.values()):
-            raise ValidationError("class fractions must be non-negative")
-        if sum(mix.values()) > 1.0:
-            raise ValidationError("occupied fractions must sum to at most 1")
+        # written so that a NaN fails it
+        if not (all(f >= 0 for f in mix.values()) and sum(mix.values()) <= 1.0):
+            raise ValidationError("class_mix fractions must be non-negative with a sum <= 1")
         object.__setattr__(self, "class_mix", mix)
         object.__setattr__(self, "templates", tuple(self.templates))
         if any(t.class_id > self.class_count for t in self.templates):
@@ -340,7 +339,7 @@ def render_depth(
     dirs = ray_direction(rows, cols, intr)
 
     def first_hits(start, stop):
-        ray, voxel, z_lo, _ = _ray_segments(dirs[start:stop], geom, np.inf)
+        ray, voxel, z_lo, _ = _ray_segments(dirs[start:stop], geom)
         hit = occupied[voxel]
         rays, first = np.unique(ray[hit], return_index=True)
         return start + rays, z_lo[hit][first]

@@ -264,9 +264,9 @@ def test_criterion_6_kl_score_highest_iou(scene_runs):
     cfg = default_hcp_config()
     wins = 0
     worst_margin = 1.0
-    for world, softmax, cal, mask, _, _ in scene_runs:
+    for world, softmax, cal, mask, test_labels, test_probs in scene_runs:
         tables = {
-            kind: recall_iou_sweep(softmax, world, cal, cfg, kind, targets, eval_mask=~mask)
+            kind: recall_iou_sweep(test_probs, test_labels, cal, cfg, kind, targets)
             for kind in ("kl", "class", "occupied")
         }
         margins = [

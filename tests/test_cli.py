@@ -233,6 +233,52 @@ def test_strict_escalates_degenerate_rare_class(tmp_path, sim_dir):
     assert json.loads(r.stdout.splitlines()[-1])["warnings"]
 
 
+def test_strict_escalates_degenerate_sweep_target(tmp_path, sim_dir):
+    out, _ = sim_dir
+    argv = [
+        "sweep",
+        "--softmax", str(out / "softmax.sscg"),
+        "--labels", str(out / "labels.sscg"),
+        "--targets", "0.5,0.999",
+        "--seed", "21",
+    ]
+    lenient = run_cli(*argv, "--out", str(tmp_path / "lenient.csv"))
+    assert lenient.returncode == 0, lenient.stderr
+    # the rare class has fewer than 999 calibration records: at 0.999 its
+    # quantile is +inf and the gate passes every voxel
+    strict = run_cli(*argv, "--out", str(tmp_path / "strict.csv"), "--strict")
+    assert strict.returncode == 4, (strict.stdout, strict.stderr)
+    warnings = json.loads(strict.stdout)["warnings"]
+    assert len(warnings) == 1 and warnings[0].startswith("class 5 has too few")
+    assert json.loads(lenient.stdout)["warnings"] == warnings
+    assert (tmp_path / "strict.csv").read_bytes() == (tmp_path / "lenient.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("evaluate", ["--threads", "2"]),
+        ("calibrate", ["--threads", "2"]),
+        ("sweep", ["--threads", "2"]),
+        ("simulate", ["--strict"]),
+        ("project", ["--strict"]),
+        ("evaluate", ["--strict"]),
+        ("project", ["--sigma-cut", "3"]),
+    ],
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(command, flag):
+    required = {
+        "simulate": ["--out-dir", "o"],
+        "project": ["--depth", "d", "--out", "o"],
+        "calibrate": ["--softmax", "s", "--labels", "l", "--out", "o"],
+        "evaluate": ["--model", "m", "--softmax", "s", "--labels", "l"],
+        "sweep": ["--softmax", "s", "--labels", "l", "--targets", "0.5"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *required, *flag])
+    assert exc.value.code == 2
+
+
 def test_sweep_writes_csv(tmp_path, sim_dir):
     out, _ = sim_dir
     csv_path = tmp_path / "sweep.csv"
@@ -443,6 +489,9 @@ def test_non_integer_in_integer_field_is_config_error(tmp_path, capsys, doc, fie
 
 
 _NAN_CONFUSION = [*np.eye(5)[:4].tolist(), [float("nan"), 0.05, 0.05, 0.25, 0.5]]
+_INF_TEMPLATES = [dataclasses.asdict(t) for t in PipelineConfig.default().scene.templates]
+_INF_TEMPLATES[1]["size"] = [[2.0, float("inf")], [1.0, 2.0], [1.0, 2.0]]
+_INTRINSICS = {"f_u": 24.0, "f_v": 24.0, "c_h": 31.5, "c_w": 31.5, "height": 64, "width": 64}
 
 
 @pytest.mark.parametrize(
@@ -456,6 +505,13 @@ _NAN_CONFUSION = [*np.eye(5)[:4].tolist(), [float("nan"), 0.05, 0.05, 0.25, 0.5]
         ({"classifier": {"temperature": float("inf")}}, ["classifier", "temperature"]),
         # too large for a float
         ({"split_fraction": 10**400}, ["split_fraction"]),
+        # a NaN fraction passes checks that it is negative or sums above 1
+        (
+            {"scene": {"class_mix": {"2": 0.0156, "3": 0.03, "4": 0.0164, "5": float("nan")}}},
+            ["scene", "class_mix"],
+        ),
+        ({"intrinsics": {**_INTRINSICS, "f_u": "inf"}}, ["intrinsics", "f_u"]),
+        ({"scene": {"templates": _INF_TEMPLATES}}, ["scene.templates[1]", "size"]),
     ],
 )
 def test_config_number_that_is_not_a_finite_float_is_config_error(tmp_path, capsys, doc, names):

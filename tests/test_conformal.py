@@ -281,7 +281,7 @@ def test_cccp_single_class_present():
     probs = np.tile(np.array([[0.1, 0.8, 0.1]]), (20, 1))
     cal = CalibrationSet(probs, np.full(20, 2))
     with pytest.warns(DegeneracyWarning):
-        qs = cccp_calibrate(cal, 0.2).q
+        qs = cccp_calibrate(cal, dict.fromkeys(range(1, m + 1), 0.2)).q
     assert math.isfinite(qs[2])
     assert qs[1] == math.inf and qs[3] == math.inf
 
@@ -301,7 +301,7 @@ def test_cccp_equals_scp_for_exchangeable_scores():
         col = probs[:, j]
         col[col == 0.0] = rest[col == 0.0]
     cal = CalibrationSet(probs, labels)
-    qs = cccp_calibrate(cal, 0.25).q
+    qs = cccp_calibrate(cal, dict.fromkeys(range(1, m + 1), 0.25)).q
     q_scp = scp_calibrate(cal, 0.25).q
     for y, q in qs.items():
         # same continuous distribution, so per-class quantiles agree within noise

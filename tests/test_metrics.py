@@ -146,7 +146,7 @@ def test_sweep_rows_monotone_gate_and_recall():
     world, softmax, cal, mask, test_labels, test_probs = scene_benchmark(3)
     cfg = default_hcp_config()
     targets = [0.3, 0.5, 0.7]
-    rows = recall_iou_sweep(softmax, world, cal, cfg, "kl", targets, eval_mask=~mask)
+    rows = recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", targets)
     assert [r.target_recall for r in rows] == targets
     for row in rows:
         n_cal = int((cal.labels == 5).sum())
@@ -157,14 +157,14 @@ def test_sweep_rows_monotone_gate_and_recall():
 
 
 def test_sweep_rejects_bad_targets():
-    world, softmax, cal, mask, _, _ = scene_benchmark(4)
+    _, _, cal, _, test_labels, test_probs = scene_benchmark(4)
     cfg = default_hcp_config()
-    with pytest.raises(ValueError):
-        recall_iou_sweep(softmax, world, cal, cfg, "kl", [0.5, 0.4])
-    with pytest.raises(ValueError):
-        recall_iou_sweep(softmax, world, cal, cfg, "kl", [0.0, 0.5])
-    with pytest.raises(ValueError):
-        recall_iou_sweep(softmax, world, cal, cfg, "bogus", [0.5])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", [0.5, 0.4])
+    with pytest.raises(ValueError, match="strictly inside"):
+        recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", [0.0, 0.5])
+    with pytest.raises(ValueError, match="unknown score kind"):
+        recall_iou_sweep(test_probs, test_labels, cal, cfg, "bogus", [0.5])
 
 
 def test_gating_never_grows_sets():

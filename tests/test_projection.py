@@ -13,7 +13,6 @@ from sscuq.projection import (
     _ray_segments,
     build_binary_grid,
     build_prob_grid,
-    pixel_to_point,
     ray_direction,
     traverse_ray,
 )
@@ -25,24 +24,12 @@ INTR = CameraIntrinsics(f_u=500.0, f_v=500.0, c_h=250.0, c_w=250.0, height=500, 
 
 
 def test_principal_ray_point():
-    assert pixel_to_point(250, 250, 10.0, INTR) == (0.0, 0.0, 10.0)
+    assert tuple(10.0 * ray_direction(250, 250, INTR)) == (0.0, 0.0, 10.0)
 
 
 def test_point_direct_substitution():
-    x, y, z = pixel_to_point(300, 250, 10.0, INTR)
+    x, y, z = 10.0 * ray_direction(300, 250, INTR)
     assert (x, y, z) == (1.0, 0.0, 10.0)
-
-
-def test_point_linear_in_depth():
-    x1, y1, _ = pixel_to_point(300, 270, 5.0, INTR)
-    x2, y2, _ = pixel_to_point(300, 270, 10.0, INTR)
-    assert x2 == pytest.approx(2 * x1)
-    assert y2 == pytest.approx(2 * y1)
-
-
-def test_point_rejects_nonpositive_depth():
-    with pytest.raises(ValueError):
-        pixel_to_point(250, 250, 0.0, INTR)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +38,7 @@ def test_point_rejects_nonpositive_depth():
 
 def test_principal_ray_axis_aligned_segments():
     geom = GridGeometry(dims=(1, 1, 50), voxel_edge=0.2, origin=(-0.1, -0.1, 0.0))
-    segs = traverse_ray(250, 250, INTR, geom, z_max=10.0)
+    segs = traverse_ray(250, 250, INTR, geom)
     assert len(segs) == 50
     for k, seg in enumerate(segs):
         assert seg.voxel == (0, 0, k)
@@ -61,12 +48,12 @@ def test_principal_ray_axis_aligned_segments():
 
 def test_ray_missing_grid_returns_empty():
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=0.2, origin=(100.0, 100.0, 1.0))
-    assert traverse_ray(250, 250, INTR, geom, z_max=50.0) == []
+    assert traverse_ray(250, 250, INTR, geom) == []
 
 
-def _slab_extent(dirs, geom, z_max):
+def _slab_extent(dirs, geom):
     """Independent box-ray oracle: total in-grid depth extent."""
-    lo, hi = 0.0, z_max
+    lo, hi = 0.0, np.inf
     for ax in range(3):
         d = dirs[ax]
         o = geom.origin[ax]
@@ -90,10 +77,9 @@ def _slab_extent(dirs, geom, z_max):
 @settings(max_examples=100, deadline=None)
 def test_traversal_extent_matches_slab_oracle(h, w, ox, oy, oz):
     geom = GridGeometry(dims=(6, 5, 8), voxel_edge=0.31, origin=(ox, oy, oz))
-    z_max = 7.0
-    segs = traverse_ray(h, w, INTR, geom, z_max=z_max)
+    segs = traverse_ray(h, w, INTR, geom)
     total = sum(s.z_exit - s.z_entry for s in segs)
-    want = _slab_extent(ray_direction(h, w, INTR), geom, z_max)
+    want = _slab_extent(ray_direction(h, w, INTR), geom)
     assert total == pytest.approx(want, abs=1e-9)
     # contiguity and uniqueness
     for a, b in zip(segs, segs[1:]):
@@ -115,14 +101,14 @@ def test_traversal_off_axis_known_crossing():
 # the batched kernel against the one-ray-at-a-time traversal
 
 
-def _oracle_segments(dirs, geom, z_max):
+def _oracle_segments(dirs, geom):
     """Reference: one ray's exact voxel crossings, as (idx, z_lo, z_hi)."""
     origin = geom.origin
     edge = geom.voxel_edge
     dims = geom.dims
     empty = (np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0))
 
-    lo, hi = 0.0, float(z_max)
+    lo, hi = 0.0, np.inf
     for ax in range(3):
         d = dirs[ax]
         if d == 0.0:
@@ -154,14 +140,13 @@ def _oracle_segments(dirs, geom, z_max):
     return idx[ok], z_lo[ok], z_hi[ok]
 
 
-def _oracle_prob_grid(est, intr, geom, sigma_cut=None):
+def _oracle_prob_grid(est, intr, geom):
     """Reference: the probabilistic grid accumulated one ray at a time."""
     acc = np.zeros(geom.dims, dtype=np.float64)
     rows, cols = np.nonzero(est.valid_mask)
     for h, w in zip(rows.tolist(), cols.tolist()):
         mean, sigma = est.mean[h, w], est.sigma[h, w]
-        z_max = mean + sigma_cut * sigma if sigma_cut is not None else np.inf
-        idx, z_lo, z_hi = _oracle_segments(ray_direction(h, w, intr), geom, z_max)
+        idx, z_lo, z_hi = _oracle_segments(ray_direction(h, w, intr), geom)
         np.add.at(acc, tuple(idx.T), _interval_prob(z_lo, z_hi, mean, sigma))
     return np.minimum(acc, 1.0).astype(np.float32)
 
@@ -176,7 +161,6 @@ _COMPONENT = st.one_of(
 
 @given(
     st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=12),
-    st.lists(st.one_of(st.just(np.inf), st.floats(0.01, 6.0)), min_size=1, max_size=12),
     # origins on 0 and with the far face on 0 (dims * edge = 1.25, 0.75,
     # 2.5, 1.5) are where rays parallel to an axis graze the box
     st.tuples(
@@ -186,11 +170,10 @@ _COMPONENT = st.one_of(
     st.sampled_from([0.25, 0.5]) | st.floats(0.05, 0.6),
 )
 @settings(max_examples=300, deadline=None)
-def test_batched_segments_equal_per_ray_oracle(xy, z_max, oxy, oz, edge):
+def test_batched_segments_equal_per_ray_oracle(xy, oxy, oz, edge):
     dirs = np.array([[x, y, 1.0] for x, y in xy])
-    z_max = np.resize(np.array(z_max), dirs.shape[0])
     geom = GridGeometry(dims=(5, 3, 6), voxel_edge=edge, origin=(*oxy, oz))
-    _assert_segments_equal_oracle(dirs, geom, z_max)
+    _assert_segments_equal_oracle(dirs, geom)
 
 
 def test_batched_segments_equal_oracle_on_default_scene():
@@ -198,15 +181,15 @@ def test_batched_segments_equal_oracle_on_default_scene():
     # grid's far faces, which exercises dropping out-of-grid segments
     intr, geom = default_intrinsics(), default_geometry()
     dirs = ray_direction(*np.divmod(np.arange(intr.height * intr.width), intr.width), intr)
-    _assert_segments_equal_oracle(dirs, geom, np.full(dirs.shape[0], np.inf))
+    _assert_segments_equal_oracle(dirs, geom)
 
 
-def _assert_segments_equal_oracle(dirs, geom, z_max):
-    ray, voxel, z_lo, z_hi = _ray_segments(dirs, geom, z_max)
+def _assert_segments_equal_oracle(dirs, geom):
+    ray, voxel, z_lo, z_hi = _ray_segments(dirs, geom)
     assert np.all(np.diff(ray) >= 0)
     for r in range(dirs.shape[0]):
         with np.errstate(divide="ignore", over="ignore"):
-            idx, want_lo, want_hi = _oracle_segments(dirs[r], geom, z_max[r])
+            idx, want_lo, want_hi = _oracle_segments(dirs[r], geom)
         assert np.array_equal(np.unravel_index(voxel[ray == r], geom.dims), idx.T)
         assert z_lo[ray == r].tobytes() == want_lo.tobytes()
         assert z_hi[ray == r].tobytes() == want_hi.tobytes()
@@ -257,12 +240,10 @@ def test_prob_grid_bytes_equal_oracle_across_chunks(shape, c_h, threads):
     assert n_valid % _CHUNK_RAYS != 0
     if shape == (64, 48):
         first = ray_direction(*np.nonzero(est.valid_mask), intr)[:_CHUNK_RAYS]
-        assert _ray_segments(first, geom, np.inf)[0].size == 0
+        assert _ray_segments(first, geom)[0].size == 0
     want = _oracle_prob_grid(est, intr, geom)
     got = build_prob_grid(est, intr, geom, threads=threads).values
     assert got.tobytes() == want.tobytes()
-    cut = build_prob_grid(est, intr, geom, sigma_cut=2.0, threads=threads).values
-    assert cut.tobytes() == _oracle_prob_grid(est, intr, geom, sigma_cut=2.0).tobytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -277,7 +258,7 @@ def test_render_depth_first_hit_equals_oracle(threads):
     want = np.zeros((intr.height, intr.width))
     for h in range(intr.height):
         for w in range(intr.width):
-            idx, z_lo, _ = _oracle_segments(ray_direction(h, w, intr), geom, np.inf)
+            idx, z_lo, _ = _oracle_segments(ray_direction(h, w, intr), geom)
             hit = np.flatnonzero(occupied[tuple(idx.T)])
             if hit.size:
                 want[h, w] = z_lo[hit[0]]
@@ -390,18 +371,6 @@ def test_prob_grid_monte_carlo_mini_oracle():
     assert np.max(np.abs(analytic[check] - mc[check])) <= 0.03
 
 
-def test_prob_grid_sigma_cut_close_to_exact():
-    intr = CameraIntrinsics(f_u=24.0, f_v=24.0, c_h=7.5, c_w=7.5, height=16, width=16)
-    geom = GridGeometry(dims=(8, 8, 8), voxel_edge=0.4, origin=(-1.6, -1.6, 0.4))
-    m = np.full((16, 16), 1.8)
-    s = np.full((16, 16), 0.3)
-    v = np.ones((16, 16), bool)
-    est = DepthEstimate(m, s, v)
-    exact = build_prob_grid(est, intr, geom)
-    cut = build_prob_grid(est, intr, geom, sigma_cut=8.0)
-    assert np.allclose(exact.values, cut.values, atol=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # binary grid
 
@@ -411,7 +380,7 @@ def test_binary_single_point_single_voxel():
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
     depth = np.zeros((3, 3))
     depth[1, 1] = 2.5
-    grid = build_binary_grid(depth, intr, geom)
+    grid = build_binary_grid(depth, intr, geom, valid=depth > 0)
     assert grid.values.sum() == 1
     assert grid.values[2, 2, 2] == 1
 
@@ -419,7 +388,7 @@ def test_binary_single_point_single_voxel():
 def test_binary_all_beyond_far_face():
     intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
-    grid = build_binary_grid(np.full((3, 3), 50.0), intr, geom)
+    grid = build_binary_grid(np.full((3, 3), 50.0), intr, geom, valid=np.ones((3, 3), bool))
     assert grid.values.sum() == 0
 
 
@@ -428,6 +397,6 @@ def test_binary_face_point_goes_to_larger_index():
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
     depth = np.zeros((3, 3))
     depth[1, 1] = 2.0  # principal ray, z exactly on the face between d=1 and d=2
-    grid = build_binary_grid(depth, intr, geom)
+    grid = build_binary_grid(depth, intr, geom, valid=depth > 0)
     assert grid.values[2, 2, 2] == 1
     assert grid.values[2, 2, 1] == 0
