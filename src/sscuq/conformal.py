@@ -385,8 +385,11 @@ class HcpConfig:
         if set(alpha_o) != rare:
             raise ValidationError("alpha_o must give a rate for exactly the rare classes")
         alpha_t = {int(y): float(a) for y, a in dict(self.alpha_target).items()}
-        if not set(alpha_t) >= set(range(2, m + 1)):
-            raise ValidationError("alpha_target must cover every nonempty class")
+        if set(alpha_t) != set(range(2, m + 1)):
+            raise ValidationError(
+                f"alpha_target must give a rate for exactly the nonempty classes 2..{m}, "
+                f"got classes {sorted(alpha_t)}"
+            )
         for a in list(alpha_o.values()) + list(alpha_t.values()):
             if not 0.0 < a < 1.0:
                 raise ValidationError(f"error rates must be in (0, 1), got {a}")

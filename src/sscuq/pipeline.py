@@ -248,7 +248,9 @@ def run_project(
                 "depth_estimate or depth"
             )
         depth = est.mean if kind == "depth_estimate" else est.depth
-        grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, valid=est.valid_mask)
+        grid = build_binary_grid(
+            depth, cfg.intrinsics, cfg.geometry, valid=est.valid_mask, threads=threads
+        )
         occupancy = int(grid.values.sum())
     else:
         if kind != "depth_estimate":

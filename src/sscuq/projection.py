@@ -68,7 +68,7 @@ def _ray_segments(dirs: np.ndarray, geom: GridGeometry):
     ``(ray, voxel, z_lo, z_hi)``: the ray of each segment, its voxel as
     a C-order flat index into ``geom.dims`` and its depth bounds,
     ordered by ray and then by increasing z, with zero-length segments
-    and rays that miss the grid dropped.
+    and rays that miss the grid dropped.  No ray lists a voxel twice.
     """
     dirs = np.asarray(dirs, dtype=np.float64).reshape(-1, 3)
     origin = geom.origin
@@ -127,6 +127,19 @@ def _ray_segments(dirs: np.ndarray, geom: GridGeometry):
     del mids, coord
     if not ok.all():
         seg_ray, voxel, z_lo, z_hi = seg_ray[ok], voxel[ok], z_lo[ok], z_hi[ok]
+
+    # Plane crossings an ulp apart leave slivers whose midpoints can land
+    # in the voxel just left or just entered, listing it twice.  A line
+    # meets a convex voxel in one interval, so a sliver between two
+    # segments of one voxel is folded into that voxel, and each run of
+    # one voxel becomes one segment from its first entry to its last exit.
+    split = (seg_ray[2:] == seg_ray[:-2]) & (voxel[2:] == voxel[:-2])
+    voxel[1:-1][split] = voxel[:-2][split]
+    first = np.ones(voxel.size, dtype=bool)
+    first[1:] = (voxel[1:] != voxel[:-1]) | (seg_ray[1:] != seg_ray[:-1])
+    if not first.all():
+        last = np.append(first[1:], True)
+        seg_ray, voxel, z_lo, z_hi = seg_ray[first], voxel[first], z_lo[first], z_hi[last]
     return rays[seg_ray], voxel, z_lo, z_hi
 
 
@@ -180,12 +193,15 @@ def build_prob_grid(
     geom: GridGeometry,
     threads: int = 1,
 ) -> ProbOccupancyGrid:
-    """Probabilistic occupancy: per voxel, the clamped sum over rays of the
-    Gaussian depth mass falling between the ray's entry and exit depths.
+    """Probabilistic occupancy: per voxel, the probability that at least one
+    pixel's point lies inside it.
 
-    Pixels are accumulated in raster order into a float64 buffer and the
-    total is clamped to 1, so the result is deterministic and the same
-    for any ``threads`` (worker threads traversing chunks of rays).
+    A ray puts mass ``p_r`` in a voxel, the Gaussian depth mass between
+    the ray's entry and exit depths there; rays are independent, so the
+    voxel holds ``1 - prod_r (1 - p_r)``.  The ``log1p(-p_r)`` terms are
+    accumulated in raster order into a float64 buffer, so the result is
+    deterministic and the same for any ``threads`` (worker threads
+    traversing chunks of rays).
     """
     if (est.shape[0], est.shape[1]) != (intr.height, intr.width):
         raise ValueError(
@@ -201,12 +217,14 @@ def build_prob_grid(
     def work(start, stop):
         ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom)
         ray += start
-        return voxel, _interval_prob(z_lo, z_hi, mean[ray], sigma[ray])
+        p = _interval_prob(z_lo, z_hi, mean[ray], sigma[ray])
+        with np.errstate(divide="ignore"):  # a certain hit: log1p(-1) = -inf
+            return voxel, np.log1p(-p)
 
-    acc = np.zeros(geom.voxel_count, dtype=np.float64)
-    _for_each_chunk(rows.size, threads, work, lambda res: np.add.at(acc, *res))
-    values = np.minimum(acc, 1.0).astype(np.float32).reshape(geom.dims)
-    return ProbOccupancyGrid(values)
+    log_miss = np.zeros(geom.voxel_count, dtype=np.float64)
+    _for_each_chunk(rows.size, threads, work, lambda res: np.add.at(log_miss, *res))
+    values = 0.0 - np.expm1(log_miss)  # 0.0 - keeps untouched voxels at +0.0
+    return ProbOccupancyGrid(values.astype(np.float32).reshape(geom.dims))
 
 
 def build_binary_grid(
@@ -214,12 +232,16 @@ def build_binary_grid(
     intr: CameraIntrinsics,
     geom: GridGeometry,
     valid: np.ndarray,
+    threads: int = 1,
 ) -> BinaryOccupancyGrid:
     """Binary occupancy: a voxel is 1 iff some pixel's point falls inside it.
 
     ``depth`` holds per-pixel depths and ``valid`` masks the pixels to
-    use.  Points exactly on a voxel face belong to the voxel with the
-    larger index (half-open voxels).
+    use.  A point belongs to the segment of its ray whose ``[z_lo, z_hi)``
+    holds its depth, so a point on a face goes to the voxel the ray
+    enters there: the true depth of ``render_depth`` lands in the first
+    occupied voxel, and the grid is the sigma -> 0 limit of
+    ``build_prob_grid``.  ``threads`` works as there.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.shape != (intr.height, intr.width):
@@ -233,13 +255,15 @@ def build_binary_grid(
     if np.any(depth[valid] <= 0):
         raise ValueError("depths must be positive on valid pixels")
 
-    h, w = np.nonzero(valid)
-    z = depth[h, w]
-    x = (h - intr.c_h) * z / intr.f_u
-    y = (w - intr.c_w) * z / intr.f_v
-    pts = np.stack([x, y, z], axis=1)
-    idx = np.floor((pts - geom.origin[None, :]) / geom.voxel_edge).astype(np.int64)
-    ok = np.all((idx >= 0) & (idx < np.array(geom.dims)), axis=1)
-    values = np.zeros(geom.dims, dtype=np.uint8)
-    values[idx[ok, 0], idx[ok, 1], idx[ok, 2]] = 1
-    return BinaryOccupancyGrid(values)
+    rows, cols = np.nonzero(valid)
+    dirs = ray_direction(rows, cols, intr)
+    z = depth[rows, cols]
+
+    def work(start, stop):
+        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom)
+        d = z[ray + start]
+        return voxel[(z_lo <= d) & (d < z_hi)]
+
+    values = np.zeros(geom.voxel_count, dtype=np.uint8)
+    _for_each_chunk(rows.size, threads, work, lambda hit: values.put(hit, 1))
+    return BinaryOccupancyGrid(values.reshape(geom.dims))

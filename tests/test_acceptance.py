@@ -73,14 +73,20 @@ def _c1_scene(seed: int) -> DepthEstimate:
 
 
 def _c1_run(seed: int):
-    """One scene: analytic grid vs a padded-bincount Monte Carlo oracle."""
+    """One scene: analytic grid vs a padded-bincount Monte Carlo oracle.
+
+    The grid holds the probability that at least one ray's point lies in
+    a voxel.  Rays are independent, so the oracle estimates each ray's
+    frequency per voxel from its own samples and combines them as
+    ``1 - prod_r (1 - f_r)``.
+    """
     est = _c1_scene(seed)
     analytic = build_prob_grid(est, _C1_INTR, _C1_GEOM).values.astype(np.float64)
 
     dims = _C1_GEOM.dims
     pad = 8
     pdims = (dims[0] + 2 * pad, dims[1] + 2 * pad, dims[2] + 2 * pad)
-    counts = np.zeros(int(np.prod(pdims)), np.int64)
+    log_miss = np.zeros(int(np.prod(pdims)))
     rng = np.random.default_rng(777_000 + seed)
     hs, ws = np.nonzero(est.valid_mask)
     inv_e = 1.0 / _C1_GEOM.voxel_edge
@@ -104,9 +110,13 @@ def _c1_run(seed: int):
         np.clip(iy, 0, pdims[1] - 1, out=iy)
         np.clip(iz, 0, pdims[2] - 1, out=iz)
         lin = (ix * np.int32(pdims[1]) + iy) * np.int32(pdims[2]) + iz
-        counts += np.bincount(lin.ravel(), minlength=counts.size)
-    grid = counts.reshape(pdims)[pad : pad + dims[0], pad : pad + dims[1], pad : pad + dims[2]]
-    mc = np.minimum(grid / _C1_SAMPLES, 1.0)
+        for row in lin:
+            counts = np.bincount(row)
+            hit = np.flatnonzero(counts)
+            with np.errstate(divide="ignore"):  # every sample in one voxel
+                log_miss[hit] += np.log1p(counts[hit] / -_C1_SAMPLES)
+    miss = np.exp(log_miss).reshape(pdims)
+    mc = 1.0 - miss[pad : pad + dims[0], pad : pad + dims[1], pad : pad + dims[2]]
 
     check = analytic >= 0.05
     dev = float(np.max(np.abs(analytic[check] - mc[check]))) if check.any() else 0.0

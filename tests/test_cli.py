@@ -524,6 +524,33 @@ def test_config_number_that_is_not_a_finite_float_is_config_error(tmp_path, caps
     assert all(name in message for name in names), message
 
 
+_HCP = {"rare_set": [5], "alpha_o": {"5": 0.3}}
+
+
+@pytest.mark.parametrize(
+    "flags, doc, field",
+    [
+        ([], {"hcp": {**_HCP, "alpha_target": {"2": 0.1, "3": 0.1, "4": 0.1, "5": 0.4, "9": 0.1}}},
+         "hcp: alpha_target"),
+        ([], {"hcp": {**_HCP, "alpha_target": {"1": 0.1, "2": 0.1, "3": 0.1, "4": 0.1, "5": 0.4}}},
+         "hcp: alpha_target"),
+        (["--alpha-target", "9=0.1"], None, "alpha_target"),
+    ],
+    ids=["config-key-9", "config-key-1", "flag-key-9"],
+)
+def test_alpha_target_outside_the_nonempty_classes_is_config_error(
+    tmp_path, capsys, flags, doc, field
+):
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        flags = [*flags, "--config", str(cfg)]
+    code, err = _main(capsys, "calibrate", *flags, *_required("calibrate", tmp_path))
+    assert code == 2, err
+    message = json.loads(err)["error"]
+    assert message.startswith(field) and "2..5" in message, message
+
+
 def test_alpha_o_outside_the_rare_set_is_config_error(tmp_path, capsys):
     argv = ["calibrate", *_required("calibrate", tmp_path)]
     code, err = _main(capsys, *argv, "--alpha-o", "car=0.2")
@@ -775,10 +802,21 @@ def test_fuzzed_container_header_exits_with_a_code(tiny_containers, name, key, v
 
 
 # ---------------------------------------------------------------------------
-# start-up: scipy is imported by the probabilistic projection alone
+# start-up: no command loads scipy, the probabilistic projection included
 
 _SCIPY_PROBE = """
-import json, sys
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -793,7 +831,7 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_only_probabilistic_project_imports_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     cfg = tmp_path / "cfg.json"
     geometry = {"dims": [64, 32, 16], "voxel_edge": 0.2, "origin": [-11.2, -6.4, 0.4]}
     camera = {"f_u": 16.0, "f_v": 16.0, "c_h": 7.5, "c_w": 7.5, "height": 16, "width": 16}
@@ -824,8 +862,6 @@ def test_only_probabilistic_project_imports_scipy(tmp_path):
         "sweep --score",
         "project --depth",
     ]
-    *scipy_free, probabilistic = probes
-    for name, code, loaded in scipy_free:
+    for name, code, loaded in probes:
         assert code == 0 and loaded == [], (name, code, loaded)
-    # the probe does see scipy once the interval CDF has run
-    assert probabilistic[1] == 0 and "scipy.special" in probabilistic[2]
+    assert (tmp_path / "prob.sscg").stat().st_size > 0

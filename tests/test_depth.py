@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sscuq.depth import gaussian_cdf_interval, kl_loss
+from sscuq.depth import _erf, _erfc_pos, _interval_prob, gaussian_cdf_interval, kl_loss
 from sscuq.grids import DepthEstimate, GroundTruthDepth
 from sscuq.rng import normals, uniforms
 
@@ -48,6 +48,81 @@ def test_cdf_far_tail_accuracy():
     want = norm.sf(8.0) - norm.sf(9.0)
     assert got == pytest.approx(want, rel=1e-10)
     assert got > 0
+
+
+# ---------------------------------------------------------------------------
+# numpy erf/erfc against the correctly rounded math module
+
+_TINY = np.finfo(np.float64).tiny  # below it a float carries no relative accuracy
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(want), _TINY))
+
+
+def test_erfc_within_8_ulp_of_math():
+    # Cody's three ranges meet at 0.46875 and 4; erfc is subnormal past 26.55
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(0.0, 26.5, 100_001), rng.uniform(0.0, 6.0, 50_000)])
+    want = np.array([math.erfc(v) for v in x.tolist()])
+    assert _ulps(_erfc_pos(x), want).max() <= 8
+    x = np.array([26.5, 26.7, 27.0, 27.3, 27.5, 40.0, math.inf])
+    want = np.array([math.erfc(v) for v in x.tolist()])
+    assert np.all(np.abs(_erfc_pos(x) - want) <= _TINY)
+    assert _erfc_pos(np.array([math.inf]))[0] == 0.0
+
+
+def test_erf_within_4_ulp_of_math():
+    x = np.concatenate([np.linspace(-7.0, 7.0, 100_001), [-math.inf, -0.0, 0.0, math.inf]])
+    want = np.array([math.erf(v) for v in x.tolist()])
+    assert _ulps(_erf(x), want).max() <= 4
+
+
+def _reference_interval(z_lo, z_hi, mean, sigma):
+    """(P, larger term) in the code's branch, from math.erf/math.erfc."""
+    a = (z_lo - mean) / (sigma * math.sqrt(2.0))
+    b = (z_hi - mean) / (sigma * math.sqrt(2.0))
+    if a >= 0:
+        terms = (math.erfc(a), math.erfc(b))
+    elif b <= 0:
+        terms = (math.erfc(-b), math.erfc(-a))
+    else:
+        terms = (math.erf(b), math.erf(a))
+    return 0.5 * (terms[0] - terms[1]), 0.5 * max(abs(t) for t in terms)
+
+
+# standardized bounds (a, b): zero widths, infinite endpoints, far tails on
+# both sides, the branch edges a = 0 and b = 0, and Cody's range edges
+_SPECIAL_BOUNDS = [
+    (0.0, 0.0), (3.0, 3.0), (-3.0, -3.0), (30.0, 30.0),
+    (-math.inf, 0.0), (0.0, math.inf), (-math.inf, math.inf), (-math.inf, -math.inf),
+    (math.inf, math.inf), (5.0, math.inf), (-math.inf, -5.0), (-math.inf, 2.0), (-2.0, math.inf),
+    (8.0, 9.0), (20.0, 20.5), (26.0, 27.0), (-27.0, -26.0), (-40.0, -30.0), (30.0, 40.0),
+    (-1e-3, 1e-3), (-0.4, 0.46875), (-5.0, 5.0), (-0.46875, 4.0), (0.46875, 4.0), (-4.0, -0.46875),
+]
+
+
+def test_interval_prob_matches_math_reference():
+    # two function values per interval, each within 8 ulp: the difference
+    # is held to 16 ulp of the larger one, since differences of tails cancel
+    rng = np.random.default_rng(12)
+    n = 20_000
+    mean = rng.uniform(-5.0, 5.0, n)
+    sigma = np.exp(rng.uniform(-4.0, 2.0, n))
+    z_lo = mean + sigma * rng.normal(0.0, 8.0, n)
+    z_hi = z_lo + sigma * rng.exponential(1.0, n) * np.where(rng.random(n) < 0.3, 0.01, 1.0)
+    a, b = np.array(_SPECIAL_BOUNDS).T
+    z_lo = np.concatenate([z_lo, a * math.sqrt(2.0)])
+    z_hi = np.concatenate([z_hi, b * math.sqrt(2.0)])
+    mean = np.concatenate([mean, np.zeros(a.size)])
+    sigma = np.concatenate([sigma, np.ones(a.size)])
+
+    got = _interval_prob(z_lo, z_hi, mean, sigma)
+    ref = [_reference_interval(*args) for args in zip(z_lo.tolist(), z_hi.tolist(), mean, sigma)]
+    want, larger = np.array(ref).T
+    assert np.all(np.abs(got - want) <= 16 * np.spacing(np.maximum(larger, _TINY)))
+    straddle = (z_lo < mean) & (z_hi > mean)
+    assert straddle.any() and (z_lo >= mean).any() and (z_hi <= mean).any()
 
 
 @given(

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscuq.depth import _interval_prob, gaussian_cdf_interval
@@ -16,7 +16,13 @@ from sscuq.projection import (
     ray_direction,
     traverse_ray,
 )
-from sscuq.synth import default_geometry, default_intrinsics, render_depth
+from sscuq.synth import (
+    default_geometry,
+    default_intrinsics,
+    default_scene_spec,
+    generate_scene,
+    render_depth,
+)
 
 ONE_SIGMA_MASS = 0.682689492137086
 
@@ -74,6 +80,7 @@ def _slab_extent(dirs, geom):
     st.floats(-2.0, 0.5),
     st.floats(0.1, 2.0),
 )
+@example(429, 429, 0.0, 2.220446049250313e-16, 1.0)  # once listed a voxel twice
 @settings(max_examples=100, deadline=None)
 def test_traversal_extent_matches_slab_oracle(h, w, ox, oy, oz):
     geom = GridGeometry(dims=(6, 5, 8), voxel_edge=0.31, origin=(ox, oy, oz))
@@ -137,18 +144,30 @@ def _oracle_segments(dirs, geom):
     mids = 0.5 * (z_lo + z_hi)
     idx = np.floor((dirs[None, :] * mids[:, None] - origin[None, :]) / edge).astype(np.int64)
     ok = np.all((idx >= 0) & (idx < np.array(dims)), axis=1)
-    return idx[ok], z_lo[ok], z_hi[ok]
+    idx, z_lo, z_hi = idx[ok], z_lo[ok], z_hi[ok]
+
+    # a voxel's one segment runs from its first entry to its last exit
+    keys = [tuple(v) for v in idx.tolist()]
+    runs = []
+    i = 0
+    while i < len(keys):
+        j = len(keys) - 1 - keys[::-1].index(keys[i])
+        runs.append((i, j))
+        i = j + 1
+    first = [i for i, _ in runs]
+    last = [j for _, j in runs]
+    return idx[first].reshape(-1, 3), z_lo[first], z_hi[last]
 
 
 def _oracle_prob_grid(est, intr, geom):
-    """Reference: the probabilistic grid accumulated one ray at a time."""
-    acc = np.zeros(geom.dims, dtype=np.float64)
+    """Reference: the probabilistic grid's union accumulated one ray at a time."""
+    log_miss = np.zeros(geom.dims, dtype=np.float64)
     rows, cols = np.nonzero(est.valid_mask)
     for h, w in zip(rows.tolist(), cols.tolist()):
         mean, sigma = est.mean[h, w], est.sigma[h, w]
         idx, z_lo, z_hi = _oracle_segments(ray_direction(h, w, intr), geom)
-        np.add.at(acc, tuple(idx.T), _interval_prob(z_lo, z_hi, mean, sigma))
-    return np.minimum(acc, 1.0).astype(np.float32)
+        log_miss[tuple(idx.T)] += np.log1p(-_interval_prob(z_lo, z_hi, mean, sigma))
+    return (0.0 - np.expm1(log_miss)).astype(np.float32)
 
 
 # exact binary fractions put plane crossings on the slab bounds and on
@@ -193,6 +212,25 @@ def _assert_segments_equal_oracle(dirs, geom):
         assert np.array_equal(np.unravel_index(voxel[ray == r], geom.dims), idx.T)
         assert z_lo[ray == r].tobytes() == want_lo.tobytes()
         assert z_hi[ray == r].tobytes() == want_hi.tobytes()
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=64),
+    st.sampled_from([0.1, 0.2, 0.3]),
+    st.tuples(st.integers(-64, 0), st.integers(-64, 0), st.integers(0, 8)),
+)
+@settings(max_examples=100, deadline=None)
+def test_no_ray_lists_a_voxel_twice(pixels, edge, cells):
+    # the default camera's pixel rays and grids on its 0.2 m lattice put
+    # crossings of different axes within an ulp of each other
+    intr = default_intrinsics()
+    geom = GridGeometry(dims=(64, 64, 16), voxel_edge=edge, origin=tuple(edge * c for c in cells))
+    ray, voxel, z_lo, z_hi = _ray_segments(ray_direction(*np.array(pixels).T, intr), geom)
+    pairs = np.stack([ray, voxel], axis=1)
+    assert np.unique(pairs, axis=0).shape[0] == ray.size
+    # what is merged keeps its extent: consecutive segments of a ray share bounds
+    same = ray[1:] == ray[:-1]
+    assert np.array_equal(z_hi[:-1][same], z_lo[1:][same])
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
@@ -292,20 +330,34 @@ def test_prob_grid_one_sigma_voxel():
     assert grid.values[0, 0, 0] == pytest.approx(ONE_SIGMA_MASS, abs=1e-6)
 
 
-def test_prob_grid_clamps_at_one():
+def _two_ray_estimate(sigmas):
+    """Pixels (4, 4) and (4, 5) with mean depth 5.0, whose rays run 0.01
+    either side of the axis through one 1 m voxel spanning z in [4.5, 5.5]."""
     intr = CameraIntrinsics(f_u=50.0, f_v=50.0, c_h=4.0, c_w=4.5, height=9, width=9)
     m = np.zeros((9, 9))
     s = np.zeros((9, 9))
     v = np.zeros((9, 9), bool)
-    # two neighboring pixels, nearly identical rays, each contributing ~0.96
-    for w in (4, 5):
+    for w, sigma in zip((4, 5), sigmas):
         m[4, w] = 5.0
-        s[4, w] = 0.1
+        s[4, w] = sigma
         v[4, w] = True
-    est = DepthEstimate(m, s, v)
     geom = GridGeometry(dims=(1, 1, 1), voxel_edge=1.0, origin=(-0.5, -0.5, 4.5))
-    grid = build_prob_grid(est, intr, geom)
-    assert grid.values[0, 0, 0] == 1.0
+    return build_prob_grid(DepthEstimate(m, s, v), intr, geom).values[0, 0, 0]
+
+
+def test_prob_grid_two_rays_by_hand():
+    # the voxel is +-1 sigma of the first ray and +-2 sigma of the second:
+    # P(hit) = 0.682689 and 0.954500, so the union is
+    # 1 - 0.317311 * 0.045500 = 0.985562, where their sum would be 1.637
+    two_sigma_mass = 0.954499736103642
+    want = 1.0 - (1.0 - ONE_SIGMA_MASS) * (1.0 - two_sigma_mass)
+    assert _two_ray_estimate((0.5, 0.25)) == pytest.approx(want, abs=1e-6)
+    assert _two_ray_estimate((0.5, 0.5)) == pytest.approx(1 - (1 - ONE_SIGMA_MASS) ** 2, abs=1e-6)
+
+
+def test_prob_grid_two_near_certain_rays_give_one():
+    # each ray misses the voxel with probability 2 * P(Z > 5) = 5.7e-7
+    assert _two_ray_estimate((0.1, 0.1)) == 1.0
 
 
 def test_prob_grid_near_dirac_matches_binary():
@@ -354,7 +406,7 @@ def test_prob_grid_monte_carlo_mini_oracle():
     analytic = build_prob_grid(est, intr, geom).values.astype(np.float64)
 
     samples = 20_000
-    acc = np.zeros(geom.dims)
+    miss = np.ones(geom.dims)
     hs, ws = np.nonzero(v)
     for h, w in zip(hs, ws):
         z = rng.normal(m[h, w], s[h, w], samples)
@@ -364,8 +416,10 @@ def test_prob_grid_monte_carlo_mini_oracle():
             (np.stack([x, y, z], axis=1) - geom.origin[None, :]) / geom.voxel_edge
         ).astype(np.int64)
         ok = np.all((idx >= 0) & (idx < np.array(geom.dims)), axis=1)
-        np.add.at(acc, tuple(idx[ok].T), 1.0 / samples)
-    mc = np.minimum(acc, 1.0)
+        freq = np.zeros(geom.dims)
+        np.add.at(freq, tuple(idx[ok].T), 1.0 / samples)
+        miss *= 1.0 - freq
+    mc = 1.0 - miss
     check = analytic >= 0.05
     assert check.any()
     assert np.max(np.abs(analytic[check] - mc[check])) <= 0.03
@@ -392,11 +446,27 @@ def test_binary_all_beyond_far_face():
     assert grid.values.sum() == 0
 
 
-def test_binary_face_point_goes_to_larger_index():
-    intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
-    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
+def test_binary_face_point_goes_to_the_voxel_the_ray_enters():
+    # pixel (0, 1) looks along (-0.5, 0, 1): at depth 2.0 its point
+    # (-1, 0, 2) sits on the face x = -1, where the ray leaves voxel
+    # i = 1 for i = 0.  Flooring the point would pick i = 1, the voxel
+    # in front of the surface.
+    intr = CameraIntrinsics(f_u=2.0, f_v=2.0, c_h=1.0, c_w=1.0, height=3, width=3)
+    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.5, 0.5))
     depth = np.zeros((3, 3))
-    depth[1, 1] = 2.0  # principal ray, z exactly on the face between d=1 and d=2
+    depth[0, 1] = 2.0
     grid = build_binary_grid(depth, intr, geom, valid=depth > 0)
-    assert grid.values[2, 2, 2] == 1
-    assert grid.values[2, 2, 1] == 0
+    assert np.argwhere(grid.values).tolist() == [[0, 2, 1]]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_binary_true_depths_land_in_occupied_voxels(seed):
+    # render_depth's depth is the entry depth of the first occupied voxel
+    intr, geom = default_intrinsics(), default_geometry()
+    world = generate_scene(default_scene_spec(seed))
+    gt, _ = render_depth(world, intr, geom, 0.03, 0.06, seed=seed)
+    grid = build_binary_grid(gt.depth, intr, geom, valid=gt.valid_mask)
+    assert grid.values.any()
+    assert world.occupied_mask()[grid.as_bool()].all()
+    threaded = build_binary_grid(gt.depth, intr, geom, valid=gt.valid_mask, threads=2)
+    assert threaded.values.tobytes() == grid.values.tobytes()
