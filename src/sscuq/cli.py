@@ -72,16 +72,8 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     if alpha_target or alpha_o or rare or epsilon is not None:
         hcp = cfg.hcp
         rare_set = frozenset(_parse_class_key(k) for k in rare.split(",")) if rare else hcp.rare_set
-        stray = sorted(set(alpha_o) - rare_set)
-        if stray:
-            raise ConfigError(
-                f"--alpha-o given for classes {stray} outside the rare set {sorted(rare_set)}"
-            )
         # a new rare set drops the config's rates for classes outside it
         alpha_o = {y: a for y, a in hcp.alpha_o.items() if y in rare_set} | alpha_o
-        missing = sorted(rare_set - set(alpha_o))
-        if missing:
-            raise ConfigError(f"--alpha-o missing for rare classes {missing}")
         try:
             changes["hcp"] = dataclasses.replace(
                 hcp,

@@ -31,7 +31,9 @@ from typing import Mapping
 import numpy as np
 
 from .container import atomic_write
-from .grids import LabelGrid, SoftmaxGrid, SOFTMAX_SUM_TOL, ValidationError, decode, row_reduce
+from .grids import (
+    LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_softmax_rows, decode, row_reduce
+)
 
 __all__ = [
     "DegeneracyWarning",
@@ -93,8 +95,7 @@ def score_kl(f, epsilon: float = 0.01):
     spread widely.  Computed with numpy alone (no scipy), it agrees with
     ``scipy.special.xlogy(f, f)`` to within a few ulp.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    _check_rate("epsilon", epsilon)
     f = _check_softmax(f)
     # f*log(f), 0 where f == 0 (as xlogy); a negative entry gives NaN
     with np.errstate(invalid="ignore"):
@@ -104,7 +105,31 @@ def score_kl(f, epsilon: float = 0.01):
 
 
 # ---------------------------------------------------------------------------
-# quantile rule
+# rates and the quantile rule
+
+
+def _check_rate(name: str, a: float, bounds: str = "(0, 1)") -> None:
+    """Raise a ValidationError naming ``name`` unless ``a`` lies in
+    ``bounds``, "(0, 1)" or "[0, 1]"."""
+    if not (0.0 < a < 1.0 if bounds == "(0, 1)" else 0.0 <= a <= 1.0):
+        raise ValidationError(f"{name} must be in {bounds}, got {a}")
+
+
+def _class_map(name: str, values: Mapping, classes, bounds: str | None = "(0, 1)") -> dict:
+    """``values`` as ``{int: float}`` once its keys are exactly ``classes``
+    (a range, shown as "a..b", or a set) and, unless ``bounds`` is None,
+    each value passes ``_check_rate``."""
+    out, want = {int(y): float(v) for y, v in values.items()}, set(classes)
+    if out.keys() != want:
+        shown = f"{classes[0]}..{classes[-1]}" if isinstance(classes, range) else sorted(want)
+        raise ValidationError(
+            f"{name} must cover exactly classes {shown}, got extra "
+            f"{sorted(out.keys() - want)}, missing {sorted(want - out.keys())}"
+        )
+    if bounds is not None:
+        for y, a in out.items():
+            _check_rate(f"{name}[{y}]", a, bounds)
+    return out
 
 
 def conformal_quantile(scores, alpha: float) -> float:
@@ -114,8 +139,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     A 1e-9 slack guards the ceiling against float noise when
     (N+1)(1-alpha) is an exact integer.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_rate("alpha", alpha)
     scores = np.asarray(scores, dtype=np.float64).ravel()
     n = scores.size
     k = math.ceil((n + 1) * (1.0 - alpha) - 1e-9)
@@ -131,10 +155,8 @@ def split_alpha(alpha_target: float, alpha_o: float) -> float:
     when alpha_o >= alpha_target), which makes the semantic quantile
     +inf and keeps the coverage direction vacuously intact.
     """
-    if not 0.0 < alpha_target < 1.0:
-        raise ValueError(f"alpha_target must be in (0, 1), got {alpha_target}")
-    if not 0.0 < alpha_o < 1.0:
-        raise ValueError(f"alpha_o must be in (0, 1), got {alpha_o}")
+    _check_rate("alpha_target", alpha_target)
+    _check_rate("alpha_o", alpha_o)
     return max(0.0, 1.0 - (1.0 - alpha_target) / (1.0 - alpha_o))
 
 
@@ -152,18 +174,13 @@ class CalibrationSet:
     def __post_init__(self):
         probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        if probs.ndim != 2 or probs.shape[1] < 2:
-            raise ValidationError("probs must be (N, M) with M >= 2")
+        if probs.ndim != 2:
+            raise ValidationError("probs must be (N, M)")
+        check_softmax_rows(probs)
         if labels.shape != (probs.shape[0],):
             raise ValidationError("labels must be a vector matching probs rows")
-        if np.any(probs < 0):
-            raise ValidationError("softmax entries must be non-negative")
-        if probs.shape[0]:
-            sums = row_reduce(np.add, probs)
-            if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
-                raise ValidationError("softmax vectors must sum to 1")
-            if labels.min() < 1 or labels.max() > probs.shape[1]:
-                raise ValidationError("labels out of range")
+        if labels.size and (labels.min() < 1 or labels.max() > probs.shape[1]):
+            raise ValidationError("labels out of range")
         probs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -181,10 +198,7 @@ class CalibrationSet:
     def from_grids(cls, grid: SoftmaxGrid, labels: LabelGrid, mask) -> "CalibrationSet":
         """Collect (vector, label) records of the voxels that ``mask``
         (boolean grid or flat boolean array) selects from aligned grids."""
-        if grid.dims != labels.dims:
-            raise ValidationError(f"grid dims {grid.dims} != label dims {labels.dims}")
-        if grid.class_count != labels.class_count:
-            raise ValidationError("class counts differ between grids")
+        check_aligned(grid, labels)
         probs, labs = grid.flat(), labels.flat()
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.shape != labs.shape:
@@ -216,12 +230,29 @@ def class_quantiles(score, cal: CalibrationSet, alpha: Mapping[int, float]) -> d
 # calibrated models
 #
 # A model's dataclass fields are its whole persistent state: save_model and
-# load_model derive the JSON document from the field annotations.
+# load_model derive the JSON document from the field annotations.  Each model
+# checks its fields as HcpConfig does, so a model file that no calibrator
+# could have written is refused when it is loaded.
 
 
-def _require_classes(name: str, values: Mapping[int, float], classes) -> None:
-    if set(values) != set(classes):
-        raise ValidationError(f"{name} must cover exactly classes {sorted(classes)}")
+def _set(obj, **values) -> None:
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
+
+
+def _check_hcp(obj) -> frozenset[int]:
+    """Check and normalize the rare set, epsilon and alpha_target of an
+    HcpConfig or HcpModel; returns the rare set."""
+    m = obj.class_count
+    rare = frozenset(int(y) for y in obj.rare_set)
+    if not rare:
+        raise ValidationError("rare_set must be non-empty")
+    if any(y < 2 or y > m for y in rare):
+        raise ValidationError(f"rare_set {sorted(rare)} must hold nonempty classes in 2..{m}")
+    _check_rate("epsilon", obj.epsilon)
+    alpha_target = _class_map("alpha_target", obj.alpha_target, range(2, m + 1))
+    _set(obj, rare_set=rare, alpha_target=alpha_target)
+    return rare
 
 
 def _quantile_row(quantiles: Mapping[int, float], class_count: int) -> np.ndarray:
@@ -234,6 +265,10 @@ def _quantile_row(quantiles: Mapping[int, float], class_count: int) -> np.ndarra
 @dataclass(frozen=True)
 class _Model:
     class_count: int
+
+    def __post_init__(self):
+        if self.class_count < 2:
+            raise ValidationError(f"class_count must be at least 2, got {self.class_count}")
 
     def _probs(self, probs) -> np.ndarray:
         probs = _check_softmax(probs)
@@ -258,6 +293,10 @@ class ScpModel(_Model):
     alpha: float
     q: float
 
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rate("alpha", self.alpha)
+
     def _quantiles(self):
         return self.q
 
@@ -274,7 +313,10 @@ class CccpModel(_Model):
     q: Mapping[int, float]
 
     def __post_init__(self):
-        _require_classes("q", self.q, range(1, self.class_count + 1))
+        super().__post_init__()
+        classes = range(1, self.class_count + 1)
+        _set(self, alpha=_class_map("alpha", self.alpha, classes),
+             q=_class_map("q", self.q, classes, None))
 
     def _quantiles(self):
         return _quantile_row(self.q, self.class_count)
@@ -297,10 +339,15 @@ class HcpModel(_Model):
     alpha_target: Mapping[int, float]
 
     def __post_init__(self):
-        if not self.rare_set:
-            raise ValidationError("rare_set must be non-empty")
-        _require_classes("q_o", self.q_o, self.rare_set)
-        _require_classes("q_s", self.q_s, range(2, self.class_count + 1))
+        super().__post_init__()
+        rare, nonempty = _check_hcp(self), range(2, self.class_count + 1)
+        _set(
+            self,
+            q_o=_class_map("q_o", self.q_o, rare, None),
+            alpha_o=_class_map("alpha_o", self.alpha_o, nonempty, "[0, 1]"),
+            alpha_s=_class_map("alpha_s", self.alpha_s, nonempty, "[0, 1]"),
+            q_s=_class_map("q_s", self.q_s, nonempty, None),
+        )
 
     @property
     def gate_threshold(self) -> float:
@@ -341,11 +388,7 @@ def cccp_calibrate(cal: CalibrationSet, alpha: Mapping[int, float]) -> CccpModel
     calibration records get quantile +inf (always included) and raise a
     DegeneracyWarning.
     """
-    classes = range(1, cal.class_count + 1)
-    missing = [y for y in classes if y not in alpha]
-    if missing:
-        raise ValueError(f"no error rate given for classes {missing}")
-    rates = {y: float(alpha[y]) for y in classes}
+    rates = _class_map("alpha", alpha, range(1, cal.class_count + 1))
     quantiles = class_quantiles(score_class, cal, rates)
     return CccpModel(class_count=cal.class_count, alpha=rates, q=quantiles)
 
@@ -371,32 +414,7 @@ class HcpConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        m = int(self.class_count)
-        if m < 2:
-            raise ValidationError("need at least 2 classes")
-        object.__setattr__(self, "class_count", m)
-        rare = frozenset(int(y) for y in self.rare_set)
-        if not rare:
-            raise ValidationError("rare class set must be non-empty")
-        if any(y < 2 or y > m for y in rare):
-            raise ValidationError("rare classes must be nonempty classes in 2..M")
-        object.__setattr__(self, "rare_set", rare)
-        alpha_o = {int(y): float(a) for y, a in dict(self.alpha_o).items()}
-        if set(alpha_o) != rare:
-            raise ValidationError("alpha_o must give a rate for exactly the rare classes")
-        alpha_t = {int(y): float(a) for y, a in dict(self.alpha_target).items()}
-        if set(alpha_t) != set(range(2, m + 1)):
-            raise ValidationError(
-                f"alpha_target must give a rate for exactly the nonempty classes 2..{m}, "
-                f"got classes {sorted(alpha_t)}"
-            )
-        for a in list(alpha_o.values()) + list(alpha_t.values()):
-            if not 0.0 < a < 1.0:
-                raise ValidationError(f"error rates must be in (0, 1), got {a}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        object.__setattr__(self, "alpha_o", alpha_o)
-        object.__setattr__(self, "alpha_target", alpha_t)
+        _set(self, alpha_o=_class_map("alpha_o", self.alpha_o, _check_hcp(self)))
 
 
 def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:

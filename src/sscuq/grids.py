@@ -136,6 +136,19 @@ def row_reduce(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
+def check_softmax_rows(probs: np.ndarray) -> None:
+    """Raise ValidationError unless the rows of ``probs`` (..., M) are
+    softmax vectors: M >= 2, no negative entry, and each row summing
+    (in float64) to 1 within ``SOFTMAX_SUM_TOL``."""
+    if probs.shape[-1] < 2:
+        raise ValidationError("softmax vectors need at least 2 classes")
+    if np.any(probs < 0):
+        raise ValidationError("softmax entries must be non-negative")
+    sums = row_reduce(np.add, probs, dtype=np.float64)
+    if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
+        raise ValidationError(f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -187,11 +200,6 @@ class GridGeometry:
         if origin.shape != (3,) or not np.all(np.isfinite(origin)):
             raise ValidationError("origin must be a finite 3-vector")
         object.__setattr__(self, "origin", origin)
-
-    @property
-    def extent(self) -> np.ndarray:
-        """Edge lengths of the grid box in meters."""
-        return np.array(self.dims, dtype=np.float64) * self.voxel_edge
 
     @property
     def voxel_count(self) -> int:
@@ -314,17 +322,9 @@ class SoftmaxGrid:
 
     def __post_init__(self):
         probs = _frozen(np.asarray(self.probs, dtype=np.float32))
-        if probs.ndim != 4:
-            raise ValidationError("softmax grid must be a 4-d array")
-        if any(n < 1 for n in probs.shape[:3]) or probs.shape[3] < 2:
-            raise ValidationError("softmax grid needs positive dims and at least 2 classes")
-        if np.any(probs < 0):
-            raise ValidationError("softmax entries must be non-negative")
-        sums = row_reduce(np.add, probs, dtype=np.float64)
-        if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
-            raise ValidationError(
-                f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}"
-            )
+        if probs.ndim != 4 or any(n < 1 for n in probs.shape[:3]):
+            raise ValidationError("softmax grid must be a 4-d array with positive dims")
+        check_softmax_rows(probs)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -372,3 +372,14 @@ class LabelGrid:
     def flat(self) -> np.ndarray:
         """Labels as a 1-d array in raster voxel order."""
         return self.labels.reshape(-1)
+
+
+def check_aligned(softmax: SoftmaxGrid, labels: LabelGrid) -> None:
+    """Raise ValidationError unless the two grids cover the same voxels
+    with the same classes."""
+    if softmax.dims != labels.dims:
+        raise ValidationError(f"softmax dims {softmax.dims} != label dims {labels.dims}")
+    if softmax.class_count != labels.class_count:
+        raise ValidationError(
+            f"softmax has {softmax.class_count} classes, labels {labels.class_count}"
+        )

@@ -33,6 +33,7 @@ __all__ = [
     "geometry_metrics_from_masks",
     "semantic_miou_flat",
     "occupied_recall_flat",
+    "class_coverage",
     "cov_gap",
     "avg_size",
     "recall_iou_sweep",
@@ -56,12 +57,11 @@ def geometry_metrics_from_masks(pred_occ: np.ndarray, gt_occ: np.ndarray) -> Geo
     if pred_occ.shape != gt_occ.shape:
         raise ValueError(f"shape mismatch: {pred_occ.shape} vs {gt_occ.shape}")
     tp = int(np.count_nonzero(pred_occ & gt_occ))
-    fp = int(np.count_nonzero(pred_occ & ~gt_occ))
-    fn = int(np.count_nonzero(~pred_occ & gt_occ))
+    pred, true = int(np.count_nonzero(pred_occ)), int(np.count_nonzero(gt_occ))
     return GeometryMetrics(
-        iou=_ratio(tp, tp + fp + fn),
-        precision=_ratio(tp, tp + fp),
-        recall=_ratio(tp, tp + fn),
+        iou=_ratio(tp, pred + true - tp),
+        precision=_ratio(tp, pred),
+        recall=_ratio(tp, true),
     )
 
 
@@ -71,22 +71,12 @@ def semantic_miou_flat(pred_labels, gt_labels, class_count: int):
     Classes absent from both prediction and ground truth are excluded
     from the mean and reported as None.
     """
-    pred_labels = np.asarray(pred_labels).reshape(-1)
-    gt_labels = np.asarray(gt_labels).reshape(-1)
-    if pred_labels.shape != gt_labels.shape:
-        raise ValueError("label arrays differ in size")
-    per_class: dict[int, float | None] = {}
-    present = []
-    for y in range(2, class_count + 1):
-        p = pred_labels == y
-        g = gt_labels == y
-        tp = int(np.count_nonzero(p & g))
-        fp = int(np.count_nonzero(p & ~g))
-        fn = int(np.count_nonzero(~p & g))
-        iou = _ratio(tp, tp + fp + fn)
-        per_class[y] = iou
-        if iou is not None:
-            present.append(iou)
+    pred_labels, gt_labels = np.ravel(pred_labels), np.ravel(gt_labels)
+    per_class = {
+        y: geometry_metrics_from_masks(pred_labels == y, gt_labels == y).iou
+        for y in range(2, class_count + 1)
+    }
+    present = [iou for iou in per_class.values() if iou is not None]
     return per_class, (float(np.mean(present)) if present else None)
 
 
@@ -96,10 +86,7 @@ def occupied_recall_flat(pred_occ, gt_labels, y: int, class_count: int) -> float
         raise ValueError("the empty class has no occupied recall")
     if not 2 <= y <= class_count:
         raise ValueError(f"class {y} out of range 2..{class_count}")
-    pred_occ = np.asarray(pred_occ, dtype=bool).reshape(-1)
-    gt_labels = np.asarray(gt_labels).reshape(-1)
-    sel = gt_labels == y
-    return _ratio(int(np.count_nonzero(pred_occ & sel)), int(np.count_nonzero(sel)))
+    return geometry_metrics_from_masks(np.ravel(pred_occ), np.ravel(gt_labels) == y).recall
 
 
 def _flat_member(member: np.ndarray) -> np.ndarray:
@@ -107,25 +94,33 @@ def _flat_member(member: np.ndarray) -> np.ndarray:
     return member.reshape(-1, member.shape[-1])
 
 
-def cov_gap(member: np.ndarray, labels, alpha_target: Mapping[int, float]) -> float | None:
-    """Mean over present nonempty classes of |empirical coverage - target|.
+def class_coverage(member: np.ndarray, labels) -> dict[int, float | None]:
+    """Per nonempty class y, the fraction of the rows labeled y whose set
+    holds y; None for a class absent from the labels.
 
     ``member`` is a membership array (..., M); ``labels`` the aligned
-    true labels.  Classes absent from the labels are excluded.
+    true labels.
     """
     member = _flat_member(member)
     labels = np.asarray(labels).reshape(-1)
     if labels.shape[0] != member.shape[0]:
         raise ValueError("labels and membership rows differ")
-    gaps = []
+    coverage = {}
     for y in range(2, member.shape[1] + 1):
         sel = labels == y
         n = int(np.count_nonzero(sel))
-        if n == 0:
+        coverage[y] = np.count_nonzero(member[sel, y - 1]) / n if n else None
+    return coverage
+
+
+def cov_gap(member: np.ndarray, labels, alpha_target: Mapping[int, float]) -> float | None:
+    """Mean over present nonempty classes of |``class_coverage`` - (1 - target)|."""
+    gaps = []
+    for y, c_y in class_coverage(member, labels).items():
+        if c_y is None:
             continue
         if y not in alpha_target:
             raise ValueError(f"no target rate for present class {y}")
-        c_y = np.count_nonzero(member[sel, y - 1]) / n
         gaps.append(abs(c_y - (1.0 - alpha_target[y])))
     return float(np.mean(gaps)) if gaps else None
 

@@ -40,10 +40,12 @@ from .grids import (
     Seed,
     SoftmaxGrid,
     ValidationError,
+    check_aligned,
     decode,
 )
 from .metrics import (
     MetricsReport,
+    class_coverage,
     cov_gap,
     avg_size,
     geometry_metrics_from_masks,
@@ -276,10 +278,7 @@ def _load_pair(softmax_path: str, labels_path: str):
         raise ValidationError(f"{softmax_path} does not hold a softmax grid")
     if not isinstance(labels, LabelGrid):
         raise ValidationError(f"{labels_path} does not hold a label grid")
-    if softmax.dims != labels.dims:
-        raise ValidationError("softmax and label grids have different dims")
-    if softmax.class_count != labels.class_count:
-        raise ValidationError("softmax and label grids have different class counts")
+    check_aligned(softmax, labels)
     return softmax, labels
 
 
@@ -331,6 +330,14 @@ def run_calibrate(
     }
 
 
+@dataclass(frozen=True)
+class _Split:
+    """The calibration split a model records: ``split_mask(n, fraction, seed)``."""
+
+    seed: Seed
+    fraction: float
+
+
 def run_evaluate(
     model_path: str,
     softmax_path: str,
@@ -341,12 +348,11 @@ def run_evaluate(
     """Apply a saved model to the test split and report metrics."""
     extra: dict = {}
     model = load_model(model_path, extra=extra)
-    split = extra.get("split", {})
-    fraction = _scalar(split, "fraction", float, 0.3, "model.split")
-    seed = _scalar(split, "seed", Seed, 0, "model.split")
+    # the split is configuration (exit 2); without it the test voxels are unknown
+    split = decode(_Split, extra.get("split", {}), "model.split", ConfigError)
 
     softmax, labels = _load_pair(softmax_path, labels_path)
-    test = ~split_mask(labels.labels.size, fraction, seed)
+    test = ~split_mask(labels.labels.size, split.fraction, split.seed)
     probs = softmax.flat()[test]
     labs = labels.flat()[test]
     occ, member = model.predict(probs)
@@ -359,12 +365,6 @@ def run_evaluate(
         y: occupied_recall_flat(occ, labs, y, model.class_count)
         for y in range(2, model.class_count + 1)
     }
-    coverage = {}
-    for y in range(2, model.class_count + 1):
-        sel = labs == y
-        n = int(np.count_nonzero(sel))
-        coverage[y] = (np.count_nonzero(member[sel, y - 1]) / n) if n else None
-
     report = MetricsReport(
         iou=geom.iou,
         precision=geom.precision,
@@ -374,7 +374,7 @@ def run_evaluate(
         occupied_recall=recalls,
         cov_gap=cov_gap(member, labs, model.target_rates),
         avg_size=avg_size(member),
-        per_class_coverage=coverage,
+        per_class_coverage=class_coverage(member, labs),
     )
     doc = report.to_json_dict()
     if out_json:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sscuq.cli import _apply_overrides, build_parser, main
+from sscuq.conformal import load_model
 from sscuq.container import read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
 from sscuq.pipeline import PipelineConfig
@@ -364,6 +365,17 @@ def _without(key):
     return doc
 
 
+def _scp_model_doc():
+    return {"method": "scp", "class_count": 5, "alpha": 0.1, "q": 0.5,
+            "split": {"fraction": 0.3, "seed": 21}}
+
+
+def _cccp_model_doc():
+    rates = {str(y): 0.1 for y in range(1, 6)}
+    return {"method": "cccp", "class_count": 5, "alpha": rates, "q": dict.fromkeys(rates, 0.5),
+            "split": {"fraction": 0.3, "seed": 21}}
+
+
 _MALFORMED_MODELS = {
     "missing-q_s": (_without("q_s"), "q_s", 3),
     "method-list": ({**_hcp_model_doc(), "method": ["x"]}, "method", 3),
@@ -378,6 +390,35 @@ _MALFORMED_MODELS = {
     "split-string": ({**_hcp_model_doc(), "split": "x"}, "split", 2),
     "split-fraction-string": ({**_hcp_model_doc(), "split": {"fraction": "x"}}, "split", 2),
     "split-seed-negative": ({**_hcp_model_doc(), "split": {"seed": -1}}, "split.seed", 2),
+    # a model no calibrator could have written: each rate map is checked as in HcpConfig
+    "alpha_target-5": (
+        {**_hcp_model_doc(), "alpha_target": {"2": 5.0, "3": 0.1, "4": 0.1, "5": 0.4}},
+        "model: alpha_target[2] must be in (0, 1)", 3,
+    ),
+    "rare_set-9": (
+        {**_hcp_model_doc(), "rare_set": [9], "q_o": {"9": 0.5}}, "model: rare_set [9]", 3
+    ),
+    "epsilon-2": ({**_hcp_model_doc(), "epsilon": 2.0}, "model: epsilon", 3),
+    "alpha_s-negative": (
+        {**_hcp_model_doc(), "alpha_s": {"2": -0.1, "3": 0.05, "4": 0.05, "5": 0.14}},
+        "model: alpha_s[2] must be in [0, 1]", 3,
+    ),
+    "scp-alpha-7": ({**_scp_model_doc(), "alpha": 7.0}, "model: alpha must be in (0, 1)", 3),
+    "cccp-alpha-without-1": (
+        {**_cccp_model_doc(), "alpha": {str(y): 0.1 for y in range(2, 6)}},
+        "model: alpha must cover exactly classes 1..5, got extra [], missing [1]", 3,
+    ),
+    "cccp-class_count-1": (
+        {**_cccp_model_doc(), "class_count": 1}, "model: class_count must be at least 2", 3
+    ),
+    # without its split the model's test voxels are unknown
+    "split-missing": (_without("split"), "model.split.seed is missing", 2),
+    "split-fraction-missing": (
+        {**_hcp_model_doc(), "split": {"seed": 21}}, "model.split.fraction is missing", 2
+    ),
+    "split-seed-missing": (
+        {**_hcp_model_doc(), "split": {"fraction": 0.3}}, "model.split.seed is missing", 2
+    ),
 }
 
 
@@ -402,6 +443,19 @@ def test_malformed_model_json_exits_with_field_message(tmp_path, sim_dir, capsys
     assert code == exit_code, err
     assert field in json.loads(err)["error"]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["scp", "cccp", "hcp"])
+def test_every_model_calibrate_writes_loads(tmp_path, sim_dir, capsys, method):
+    out, _ = sim_dir
+    model_path = tmp_path / "model.json"
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    code, err = _main(capsys, "calibrate", *data, "--method", method, "--out", str(model_path))
+    assert code == 0, err
+    extra = {}
+    model = load_model(model_path, extra=extra)
+    assert type(model).__name__ == f"{method.capitalize()}Model"
+    assert extra == {"split": {"fraction": 0.3, "seed": 0}}
 
 
 def test_config_json_array_is_config_error(tmp_path, capsys):

@@ -67,3 +67,42 @@ def test_calibration_records_and_gate_counts(run):
     passed, tested = tracer.gate_counts(str(model), softmax, labels)
     assert tested == (~cal).sum()
     assert 0 < passed < tested
+
+
+# the spans each command must open: a layer whose call leaves the namespace
+# the tracer wraps would read 0 in the benchmark's per-layer metrics
+_LAYERS = {
+    "calibrate": {
+        "container.read_grid", "pipeline.split_mask", "conformal.from_grids",
+        "conformal.hcp_calibrate", "conformal.score_kl", "conformal.conformal_quantile",
+        "conformal.save_model",
+    },
+    "evaluate": {
+        "container.read_grid", "pipeline.split_mask", "conformal.load_model",
+        "conformal.score_kl", "metrics.report",
+    },
+    "sweep": {
+        "container.read_grid", "pipeline.split_mask", "conformal.from_grids",
+        "conformal.score_kl", "conformal.conformal_quantile", "metrics.recall_iou_sweep",
+    },
+}
+
+
+def test_each_command_opens_the_spans_of_the_layers_it_runs(run, tmp_path):
+    sim, _ = run
+    data = ["--softmax", str(sim / "softmax.sscg"), "--labels", str(sim / "labels.sscg")]
+    model = str(tmp_path / "hcp.json")
+    argvs = {
+        "calibrate": ["calibrate", "--seed", "3", *data, "--method", "hcp", "--out", model],
+        "evaluate": ["evaluate", "--model", model, *data],
+        "sweep": ["sweep", "--seed", "3", *data, "--score", "kl", "--targets", "0.5,0.8"],
+    }
+    t = tracer.Tracer()
+    for command, argv in argvs.items():
+        assert t.command(tracer.ROOT_SPAN, main, argv) == 0
+        names = [sp[0] for sp in t.spans if sp[4] == t.trace_id]
+        assert _LAYERS[command] | {tracer.ROOT_SPAN, f"pipeline.{command}"} <= set(names)
+        assert names.count("container.read_grid") == 2  # softmax and labels
+        if command == "evaluate":
+            # geometry, mIoU, cov_gap, avg_size and one occupied recall per nonempty class
+            assert names.count("metrics.report") == 4 + 4
