@@ -32,7 +32,8 @@ import numpy as np
 
 from .container import atomic_write
 from .grids import (
-    LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_softmax_rows, decode, row_reduce
+    LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_softmax_rows, decode, row_blocks,
+    row_reduce,
 )
 
 __all__ = [
@@ -63,11 +64,18 @@ class DegeneracyWarning(UserWarning):
 
 # ---------------------------------------------------------------------------
 # scores
+#
+# Vectors may come in any float dtype (the containers store float32); every
+# score is computed in float64.  A kernel that reads whole rows converts
+# them one ``row_blocks`` block at a time, so it never holds a float64 copy
+# of its input.  Note that ``1.0 - f`` keeps a float32 ``f`` float32, so
+# each column is converted before it is subtracted.
 
 
-def _check_softmax(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[-1] < 2:
+def _check_softmax(f) -> np.ndarray:
+    """``f`` as an array of vectors (..., M), M >= 2; its values unchecked."""
+    f = np.asarray(f)
+    if f.ndim == 0 or f.shape[-1] < 2:
         raise ValueError("softmax vectors need at least 2 classes")
     return f
 
@@ -77,13 +85,12 @@ def score_class(f, y: int):
     f = _check_softmax(f)
     if not 1 <= y <= f.shape[-1]:
         raise ValueError(f"class {y} out of range 1..{f.shape[-1]}")
-    return 1.0 - f[..., y - 1]
+    return 1.0 - f[..., y - 1].astype(np.float64)
 
 
 def score_occupied(f):
     """Disagreement with "occupied": one minus the nonempty mass = f_1."""
-    f = _check_softmax(f)
-    return f[..., 0]
+    return _check_softmax(f)[..., 0].astype(np.float64)
 
 
 def score_kl(f, epsilon: float = 0.01):
@@ -97,11 +104,17 @@ def score_kl(f, epsilon: float = 0.01):
     """
     _check_rate("epsilon", epsilon)
     f = _check_softmax(f)
-    # f*log(f), 0 where f == 0 (as xlogy); a negative entry gives NaN
-    with np.errstate(invalid="ignore"):
-        xlogx = np.log(f, out=np.zeros_like(f), where=f != 0)
-    xlogx *= f
-    return row_reduce(np.add, xlogx) - f[..., 0] * math.log(epsilon)
+    rows = f.reshape(-1, f.shape[-1])
+    out = np.empty(rows.shape[0])
+    log_eps = math.log(epsilon)
+    for block in row_blocks(rows.shape[0]):
+        fb = np.asarray(rows[block], dtype=np.float64)
+        # f*log(f), 0 where f == 0 (as xlogy); a negative entry gives NaN
+        with np.errstate(invalid="ignore"):
+            xlogx = np.log(fb, out=np.zeros_like(fb), where=fb != 0)
+        xlogx *= fb
+        out[block] = row_reduce(np.add, xlogx) - fb[:, 0] * log_eps
+    return out.reshape(f.shape[:-1])[()]  # one vector gives a scalar
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +185,10 @@ class CalibrationSet:
     labels: np.ndarray
 
     def __post_init__(self):
-        probs = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
+        # float32 rows (from_grids passes the container's) are kept as they
+        # are: every score converts what it reads to float64
+        probs = np.asarray(self.probs)
+        probs = np.ascontiguousarray(probs, None if probs.dtype == np.float32 else np.float64)
         labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
         if probs.ndim != 2:
             raise ValidationError("probs must be (N, M)")
@@ -278,11 +294,21 @@ class _Model:
             )
         return probs
 
+    def _member(self, probs: np.ndarray, quantiles) -> np.ndarray:
+        """``1 - f_y <= quantiles[y - 1]`` for vectors (..., M), in float64,
+        one block of rows at a time."""
+        rows = probs.reshape(-1, self.class_count)
+        member = np.empty(rows.shape, dtype=bool)
+        for block in row_blocks(rows.shape[0]):
+            np.less_equal(1.0 - np.asarray(rows[block], dtype=np.float64), quantiles,
+                          out=member[block])
+        return member.reshape(probs.shape)
+
     def predict(self, probs):
         """(occupied, member) for vectors (..., M): class y, the empty class
         included, is in a set iff ``1 - f_y`` is within its quantile, and a
         vector is occupied iff its set holds a nonempty class."""
-        member = 1.0 - self._probs(probs) <= self._quantiles()
+        member = self._member(self._probs(probs), self._quantiles())
         return member[..., 1:].any(axis=-1), member
 
 
@@ -365,7 +391,7 @@ class HcpModel(_Model):
         vector the empty set."""
         probs = self._probs(probs)
         occ = score_kl(probs, self.epsilon) <= self.gate_threshold
-        member = 1.0 - probs <= _quantile_row(self.q_s, self.class_count)
+        member = self._member(probs, _quantile_row(self.q_s, self.class_count))
         member[..., 0] = False
         member &= occ[..., None]
         return occ, member
@@ -377,7 +403,7 @@ class HcpModel(_Model):
 
 def scp_calibrate(cal: CalibrationSet, alpha: float) -> ScpModel:
     """Marginal quantile of true-class scores 1 - f_Y."""
-    scores = 1.0 - cal.probs[np.arange(cal.n), cal.labels - 1]
+    scores = 1.0 - cal.probs[np.arange(cal.n), cal.labels - 1].astype(np.float64)
     return ScpModel(class_count=cal.class_count, alpha=alpha, q=conformal_quantile(scores, alpha))
 
 
@@ -467,7 +493,7 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
         else:
             a_s = split_alpha(target, a_o)
         alpha_s[y] = a_s
-        scores = 1.0 - cal.probs[sel & gated, y - 1]
+        scores = 1.0 - cal.probs[sel & gated, y - 1].astype(np.float64)
         q_s[y] = math.inf if a_s == 0.0 else conformal_quantile(scores, a_s)
 
     return HcpModel(

@@ -123,19 +123,22 @@ def _positive_int(value) -> bool:
     return type(value) is int and value >= 1
 
 
-def _parse_header(blob: bytes) -> tuple[dict, int]:
-    """The validated JSON header of a container's bytes and the offset of
-    its payload; raises as ``read_header`` describes."""
-    if len(blob) < 16 or blob[:4] != MAGIC:
+def _read_header(fh) -> tuple[dict, int, int]:
+    """The validated JSON header of the container open as ``fh``, the
+    offset of its payload and the file's size; ``fh`` is left at the
+    payload.  Raises as ``read_header`` describes."""
+    size = os.fstat(fh.fileno()).st_size
+    prefix = fh.read(16)
+    if len(prefix) < 16 or prefix[:4] != MAGIC:
         raise FormatError("not an SSCG container (bad magic)")
-    version = int.from_bytes(blob[4:8], "little")
+    version = int.from_bytes(prefix[4:8], "little")
     if version != VERSION:
         raise FormatError(f"unsupported SSCG version {version}")
-    start = 16 + int.from_bytes(blob[8:16], "little")
-    if len(blob) < start:
+    start = 16 + int.from_bytes(prefix[8:16], "little")
+    if size < start:
         raise TruncationError("header extends past end of file")
     try:
-        header = json.loads(blob[16:start].decode("utf-8"))
+        header = json.loads(fh.read(start - 16).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise FormatError(f"malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
@@ -154,7 +157,7 @@ def _parse_header(blob: bytes) -> tuple[dict, int]:
             f"{kind} header class_count must be a positive integer, "
             f"got {header.get('class_count')!r}"
         )
-    return header, start
+    return header, start, size
 
 
 def read_grid(path):
@@ -163,20 +166,23 @@ def read_grid(path):
     Raises FormatError for a malformed header (see ``read_header``),
     TruncationError when the payload length disagrees with the header,
     and ValidationError when the decoded object would violate its type
-    invariants.
+    invariants.  The payload is read straight into its array: no copy
+    of the file's bytes is held.
     """
     with open(os.fspath(path), "rb") as fh:
-        blob = fh.read()
-    header, start = _parse_header(blob)
-    kind = header["kind"]
-    grid_type, dtype, planes = _KINDS[kind]
-    shape = (len(planes), *header["dims"])
-    if kind == "softmax":
-        shape += (header["class_count"],)
-    size = math.prod(shape) * dtype.itemsize
-    if len(blob) - start != size:
-        raise TruncationError(f"payload of {len(blob) - start} bytes, header implies {size}")
-    arr = np.frombuffer(blob[start:], dtype=dtype).reshape(shape)
+        header, start, file_size = _read_header(fh)
+        kind = header["kind"]
+        grid_type, dtype, planes = _KINDS[kind]
+        shape = (len(planes), *header["dims"])
+        if kind == "softmax":
+            shape += (header["class_count"],)
+        size = math.prod(shape) * dtype.itemsize
+        if file_size - start != size:
+            raise TruncationError(f"payload of {file_size - start} bytes, header implies {size}")
+        arr = np.empty(shape, dtype=dtype)
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+        if got != size:  # the file shrank after it was measured
+            raise TruncationError(f"payload of {got} bytes, header implies {size}")
     fields = dict(zip(planes, arr))
     if kind == "labels":
         fields["class_count"] = header["class_count"]
@@ -192,4 +198,4 @@ def read_header(path) -> dict:
     TruncationError when the header runs past the end of the file.
     """
     with open(os.fspath(path), "rb") as fh:
-        return _parse_header(fh.read())[0]
+        return _read_header(fh)[0]

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 SOFTMAX_SUM_TOL = 1e-5  # absorbs float32 serialization error
+_BLOCK_ROWS = 16384  # rows per block of the row kernels; no result depends on it
 
 
 class ValidationError(ValueError):
@@ -136,16 +137,28 @@ def row_reduce(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
     return out
 
 
+def row_blocks(n: int):
+    """Slices of at most ``_BLOCK_ROWS`` consecutive rows covering
+    ``range(n)`` in order.  Kernels that convert rows to float64 walk
+    their input in these blocks, so none holds a whole-array copy."""
+    return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
+
+
 def check_softmax_rows(probs: np.ndarray) -> None:
     """Raise ValidationError unless the rows of ``probs`` (..., M) are
     softmax vectors: M >= 2, no negative entry, and each row summing
-    (in float64) to 1 within ``SOFTMAX_SUM_TOL``."""
+    (in float64) to 1 within ``SOFTMAX_SUM_TOL``.  A negative entry
+    anywhere is reported ahead of a bad row sum."""
     if probs.shape[-1] < 2:
         raise ValidationError("softmax vectors need at least 2 classes")
-    if np.any(probs < 0):
-        raise ValidationError("softmax entries must be non-negative")
-    sums = row_reduce(np.add, probs, dtype=np.float64)
-    if not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL):
+    rows = probs.reshape(-1, probs.shape[-1])
+    bad_sum = False
+    for block in row_blocks(rows.shape[0]):
+        if np.any(rows[block] < 0):
+            raise ValidationError("softmax entries must be non-negative")
+        sums = row_reduce(np.add, rows[block], dtype=np.float64)
+        bad_sum |= not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL)
+    if bad_sum:
         raise ValidationError(f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}")
 
 
@@ -349,15 +362,17 @@ class LabelGrid:
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
-        if labels.size and (labels.min() < 1 or labels.max() > np.iinfo(np.uint16).max):
+        low, high = (labels.min(), labels.max()) if labels.size else (1, 1)
+        if not (low >= 1 and high <= np.iinfo(np.uint16).max):  # a NaN fails too
             raise ValidationError("labels must fit in {1..65535}")
+        # the copy also keeps the grid from freezing the caller's array
         labels = _frozen(labels.astype(np.uint16))
         _check_3d(labels)
         m = int(self.class_count)
         object.__setattr__(self, "class_count", m)
         if m < 1:
             raise ValidationError("class_count must be at least 1")
-        if labels.size and labels.max() > m:
+        if int(high) > m:  # the uint16 cast truncates, as int() does
             raise ValidationError("labels must lie in {1..class_count}")
         object.__setattr__(self, "labels", labels)
 

@@ -157,6 +157,19 @@ def test_label_grid_rejects_label_above_class_count():
         LabelGrid(np.full((1, 1, 1), 7), class_count=3)
 
 
+def test_label_grid_rejects_a_nan_label():
+    # a NaN compares false with both range ends; cast to uint16 it became a label
+    with pytest.raises(ValidationError, match="65535"):
+        LabelGrid(np.array([[[np.nan, 2.0]]]), class_count=3)
+
+
+def test_label_grid_does_not_freeze_the_callers_array():
+    labels = np.full((1, 2, 2), 2, dtype=np.uint16)
+    grid = LabelGrid(labels, class_count=3)
+    labels[0, 0, 0] = 3
+    assert labels.flags.writeable and grid.labels[0, 0, 0] == 2
+
+
 def test_grids_are_immutable():
     grid = ProbOccupancyGrid(np.zeros((2, 2, 2), np.float32))
     with pytest.raises(ValueError):
