@@ -12,6 +12,7 @@ import numpy as np
 
 from sscuq import (
     DepthEstimate,
+    GroundTruthDepth,
     build_binary_grid,
     build_prob_grid,
     default_geometry,
@@ -46,7 +47,7 @@ print(f"depth model loss on its own render: {report.loss:.4f} "
 # 2. Probabilistic vs binary projection
 # ---------------------------------------------------------------------------
 prob = build_prob_grid(est, intr, geom)
-binary = build_binary_grid(est.mean, intr, geom, valid=est.valid_mask)
+binary = build_binary_grid(GroundTruthDepth(est.mean, est.valid_mask), intr, geom)
 print(f"probabilistic grid mass {prob.values.sum():.1f} spread over "
       f"{int(np.count_nonzero(prob.values > 0.01))} voxels; "
       f"binary grid marks {int(binary.values.sum())} voxels")
@@ -68,7 +69,7 @@ sharp = DepthEstimate(
     np.where(valid, depth, 0.0), np.where(valid, 1e-7, 0.0), valid
 )
 dirac = build_prob_grid(sharp, intr, geom)
-points = build_binary_grid(depth, intr, geom, valid=valid)
+points = build_binary_grid(GroundTruthDepth(depth, valid), intr, geom)
 occupied = points.as_bool()
 print(f"near-zero noise: min probability over binary-marked voxels = "
       f"{dirac.values[occupied].min():.6f} (should be ~1)")

@@ -36,6 +36,7 @@ from .container import _KIND_OF, atomic_write, read_grid, write_grid
 from .grids import (
     CameraIntrinsics,
     GridGeometry,
+    GroundTruthDepth,
     LabelGrid,
     Seed,
     SoftmaxGrid,
@@ -77,8 +78,6 @@ __all__ = [
     "run_sweep",
 ]
 
-_TAG_SPLIT = 6
-
 
 class ConfigError(ValueError):
     """A configuration value is missing or invalid; the message names it."""
@@ -88,7 +87,7 @@ def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
     """Boolean calibration mask over voxel indices, pure in (seed, index)."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split_fraction must be in (0, 1), got {fraction}")
-    u = rng.uniforms(rng.derive_seed(seed, _TAG_SPLIT), np.arange(n_voxels))
+    u = rng.uniforms(rng.derive_seed(seed, rng.TAG_SPLIT), np.arange(n_voxels))
     return u < fraction
 
 
@@ -249,10 +248,8 @@ def run_project(
                 f"{depth_path} holds a {kind} container; binary projection needs "
                 "depth_estimate or depth"
             )
-        depth = est.mean if kind == "depth_estimate" else est.depth
-        grid = build_binary_grid(
-            depth, cfg.intrinsics, cfg.geometry, valid=est.valid_mask, threads=threads
-        )
+        gt = GroundTruthDepth(est.mean, est.valid_mask) if kind == "depth_estimate" else est
+        grid = build_binary_grid(gt, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = int(grid.values.sum())
     else:
         if kind != "depth_estimate":

@@ -24,6 +24,7 @@ from .grids import (
     CameraIntrinsics,
     DepthEstimate,
     GridGeometry,
+    GroundTruthDepth,
     ProbOccupancyGrid,
 )
 
@@ -147,25 +148,43 @@ def _ray_segments(dirs: np.ndarray, geom: GridGeometry):
 _CHUNK_RAYS = 1024
 
 
-def _for_each_chunk(n_rays: int, threads: int, work, fold) -> None:
-    """``fold(work(start, stop))`` for consecutive chunks of ``n_rays``, in order.
+def _cast_rays(
+    pixels: np.ndarray, intr: CameraIntrinsics, geom: GridGeometry, threads: int, work, fold
+) -> None:
+    """Cast the ray of every pixel set in ``pixels`` and reduce its segments.
 
+    ``pixels`` is a boolean ``(height, width)`` map; its set pixels are
+    cast in raster order, ``_CHUNK_RAYS`` rays per call of
+    ``_ray_segments``, and ``fold(work(ray, voxel, z_lo, z_hi))`` runs
+    for each chunk, with ``ray`` counting the cast pixels from 0.
     With ``threads > 1`` the chunks run in groups of ``threads``: the
     calling thread works on the first chunk of a group while a pool of
     ``threads - 1`` workers takes the rest.  ``fold`` sees the results
     in chunk order on the calling thread, so the outcome never depends
     on ``threads``.
     """
-    chunks = [(s, min(s + _CHUNK_RAYS, n_rays)) for s in range(0, n_rays, _CHUNK_RAYS)]
-    if threads <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            fold(work(*chunk))
+    if pixels.shape != (intr.height, intr.width):
+        raise ValueError(
+            f"depth map {pixels.shape} does not match intrinsics "
+            f"{(intr.height, intr.width)}"
+        )
+    dirs = ray_direction(*np.nonzero(pixels), intr)
+
+    def chunk(start):
+        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start : start + _CHUNK_RAYS], geom)
+        ray += start
+        return work(ray, voxel, z_lo, z_hi)
+
+    starts = range(0, len(dirs), _CHUNK_RAYS)
+    if threads <= 1 or len(starts) <= 1:
+        for start in starts:
+            fold(chunk(start))
         return
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        for first in range(0, len(chunks), threads):
-            group = chunks[first : first + threads]
-            futures = [pool.submit(work, *chunk) for chunk in group[1:]]
-            fold(work(*group[0]))
+        for first in range(0, len(starts), threads):
+            group = starts[first : first + threads]
+            futures = [pool.submit(chunk, start) for start in group[1:]]
+            fold(chunk(group[0]))
             for future in futures:
                 fold(future.result())
 
@@ -203,67 +222,40 @@ def build_prob_grid(
     deterministic and the same for any ``threads`` (worker threads
     traversing chunks of rays).
     """
-    if (est.shape[0], est.shape[1]) != (intr.height, intr.width):
-        raise ValueError(
-            f"depth map {est.shape} does not match intrinsics "
-            f"{(intr.height, intr.width)}"
-        )
+    pixels = est.valid_mask
+    mean, sigma = est.mean[pixels], est.sigma[pixels]
 
-    rows, cols = np.nonzero(est.valid_mask)
-    dirs = ray_direction(rows, cols, intr)
-    mean = est.mean[rows, cols]
-    sigma = est.sigma[rows, cols]
-
-    def work(start, stop):
-        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom)
-        ray += start
+    def work(ray, voxel, z_lo, z_hi):
         p = _interval_prob(z_lo, z_hi, mean[ray], sigma[ray])
         with np.errstate(divide="ignore"):  # a certain hit: log1p(-1) = -inf
             return voxel, np.log1p(-p)
 
     log_miss = np.zeros(geom.voxel_count, dtype=np.float64)
-    _for_each_chunk(rows.size, threads, work, lambda res: np.add.at(log_miss, *res))
+    _cast_rays(pixels, intr, geom, threads, work, lambda res: np.add.at(log_miss, *res))
     values = 0.0 - np.expm1(log_miss)  # 0.0 - keeps untouched voxels at +0.0
     return ProbOccupancyGrid(values.astype(np.float32).reshape(geom.dims))
 
 
 def build_binary_grid(
-    depth: np.ndarray,
+    gt: GroundTruthDepth,
     intr: CameraIntrinsics,
     geom: GridGeometry,
-    valid: np.ndarray,
     threads: int = 1,
 ) -> BinaryOccupancyGrid:
-    """Binary occupancy: a voxel is 1 iff some pixel's point falls inside it.
+    """Binary occupancy: a voxel is 1 iff some valid pixel's point falls inside it.
 
-    ``depth`` holds per-pixel depths and ``valid`` masks the pixels to
-    use.  A point belongs to the segment of its ray whose ``[z_lo, z_hi)``
+    A point belongs to the segment of its ray whose ``[z_lo, z_hi)``
     holds its depth, so a point on a face goes to the voxel the ray
     enters there: the true depth of ``render_depth`` lands in the first
     occupied voxel, and the grid is the sigma -> 0 limit of
     ``build_prob_grid``.  ``threads`` works as there.
     """
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.shape != (intr.height, intr.width):
-        raise ValueError(
-            f"depth map {depth.shape} does not match intrinsics "
-            f"{(intr.height, intr.width)}"
-        )
-    valid = np.asarray(valid, dtype=bool)
-    if valid.shape != depth.shape:
-        raise ValueError("valid mask shape must match the depth map")
-    if np.any(depth[valid] <= 0):
-        raise ValueError("depths must be positive on valid pixels")
+    z = gt.depth[gt.valid_mask]
 
-    rows, cols = np.nonzero(valid)
-    dirs = ray_direction(rows, cols, intr)
-    z = depth[rows, cols]
-
-    def work(start, stop):
-        ray, voxel, z_lo, z_hi = _ray_segments(dirs[start:stop], geom)
-        d = z[ray + start]
+    def work(ray, voxel, z_lo, z_hi):
+        d = z[ray]
         return voxel[(z_lo <= d) & (d < z_hi)]
 
     values = np.zeros(geom.voxel_count, dtype=np.uint8)
-    _for_each_chunk(rows.size, threads, work, lambda hit: values.put(hit, 1))
+    _cast_rays(gt.valid_mask, intr, geom, threads, work, lambda hit: values.put(hit, 1))
     return BinaryOccupancyGrid(values.reshape(geom.dims))

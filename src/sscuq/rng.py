@@ -29,6 +29,15 @@ _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0x632BE59BD9B4E019)
 
+# Substream tags for derive_seed, one per draw of the package.  A new
+# draw takes a tag of its own; changing a value changes every output.
+TAG_SCENE = 1  # synth.generate_scene: object sizes and positions
+TAG_TARGET = 2  # synth.classify_labels: confusion targets
+TAG_GUMBEL = 3  # synth.classify_labels: logit noise
+TAG_DEPTH = 4  # synth.render_depth: depth noise
+TAG_LABELS = 5  # synth.draw_labels
+TAG_SPLIT = 6  # pipeline.split_mask
+
 # Counters per kernel step: bounds the two uint64 scratch buffers.
 _CHUNK = 16384
 

@@ -28,7 +28,7 @@ from .grids import (
     ValidationError,
     row_reduce,
 )
-from .projection import _for_each_chunk, _ray_segments, ray_direction
+from .projection import _cast_rays
 
 __all__ = [
     "GenerationError",
@@ -45,13 +45,6 @@ __all__ = [
     "draw_labels",
     "classify_labels",
 ]
-
-# substream tags (see rng.derive_seed)
-_TAG_SCENE = 1
-_TAG_TARGET = 2
-_TAG_GUMBEL = 3
-_TAG_DEPTH = 4
-_TAG_LABELS = 5
 
 # generate_scene's scalar draws come from blocks of this many counters
 _DRAW_BLOCK = 1024
@@ -110,10 +103,6 @@ class SceneSpec:
         object.__setattr__(self, "templates", tuple(self.templates))
         if any(t.class_id > self.class_count for t in self.templates):
             raise ValidationError("template class ids exceed class_count")
-
-    @property
-    def empty_fraction(self) -> float:
-        return 1.0 - sum(self.class_mix.values())
 
 
 @dataclass(frozen=True)
@@ -230,7 +219,7 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
     edge = geom.voxel_edge
     total = geom.voxel_count
     labels = np.ones(geom.dims, dtype=np.uint16)
-    stream = rng.derive_seed(spec.seed, _TAG_SCENE)
+    stream = rng.derive_seed(spec.seed, rng.TAG_SCENE)
     counter = 0
     block: list[float] = []
 
@@ -331,31 +320,26 @@ def render_depth(
         raise ValueError("need noise_a, noise_b >= 0 with a positive sum")
     if world.dims != geom.dims:
         raise ValueError(f"world dims {world.dims} != geometry dims {geom.dims}")
-    height, width = intr.height, intr.width
-    depth = np.zeros(height * width, dtype=np.float64)
-    valid = np.zeros(height * width, dtype=bool)
+    shape = (intr.height, intr.width)
+    depth = np.zeros(shape, dtype=np.float64)
+    valid = np.zeros(shape, dtype=bool)
     occupied = world.occupied_mask().reshape(-1)
-    rows, cols = np.divmod(np.arange(height * width), width)
-    dirs = ray_direction(rows, cols, intr)
 
-    def first_hits(start, stop):
-        ray, voxel, z_lo, _ = _ray_segments(dirs[start:stop], geom)
+    def first_hits(ray, voxel, z_lo, _):
         hit = occupied[voxel]
-        rays, first = np.unique(ray[hit], return_index=True)
-        return start + rays, z_lo[hit][first]
+        pixels, first = np.unique(ray[hit], return_index=True)
+        return pixels, z_lo[hit][first]
 
     def store(res):
         pixels, z = res
-        depth[pixels] = z
-        valid[pixels] = True
+        depth.flat[pixels] = z
+        valid.flat[pixels] = True
 
-    _for_each_chunk(height * width, threads, first_hits, store)
-    depth = depth.reshape(height, width)
-    valid = valid.reshape(height, width)
+    _cast_rays(np.ones(shape, dtype=bool), intr, geom, threads, first_hits, store)
     gt = GroundTruthDepth(depth, valid)
 
     sigma = noise_a + noise_b * depth
-    noise = rng.normals(rng.derive_seed(seed, _TAG_DEPTH), np.arange(depth.size))
+    noise = rng.normals(rng.derive_seed(seed, rng.TAG_DEPTH), np.arange(depth.size))
     mean = depth + sigma * noise.reshape(depth.shape)
     est_valid = valid & (mean > 0)
     mean = np.where(est_valid, mean, 0.0)
@@ -372,7 +356,7 @@ def draw_labels(n: int, fractions: Sequence[float], seed: int) -> np.ndarray:
     fractions = np.asarray(fractions, dtype=np.float64)
     if np.any(fractions < 0) or abs(fractions.sum() - 1.0) > 1e-9:
         raise ValueError("fractions must be a probability vector")
-    u = rng.uniforms(rng.derive_seed(seed, _TAG_LABELS), np.arange(n))
+    u = rng.uniforms(rng.derive_seed(seed, rng.TAG_LABELS), np.arange(n))
     cdf = np.cumsum(fractions)
     return 1 + np.searchsorted(cdf[:-1], u, side="right").astype(np.int64)
 
@@ -390,7 +374,7 @@ def classify_labels(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
         raise ValueError(f"labels must lie in 1..{m}")
     n = labels.size
     rows = labels - 1
-    u = rng.uniforms(rng.derive_seed(spec.seed, _TAG_TARGET), np.arange(n))
+    u = rng.uniforms(rng.derive_seed(spec.seed, rng.TAG_TARGET), np.arange(n))
     # target = how many entries of the row's confusion CDF lie below u,
     # counted one CDF column at a time (no (N, M) gather of CDF rows)
     cdf = np.cumsum(spec.confusion, axis=1)
@@ -399,7 +383,7 @@ def classify_labels(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
         target += u > cdf[:, j].take(rows)
 
     logits = rng.gumbels(
-        rng.derive_seed(spec.seed, _TAG_GUMBEL), np.arange(n * m)
+        rng.derive_seed(spec.seed, rng.TAG_GUMBEL), np.arange(n * m)
     ).reshape(n, m)
     logits[np.arange(n), target] += spec.sharpness[rows]
     logits /= spec.temperature

@@ -6,10 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sscuq.depth import _interval_prob, gaussian_cdf_interval
-from sscuq.grids import CameraIntrinsics, DepthEstimate, GridGeometry, LabelGrid
+from sscuq.grids import (
+    CameraIntrinsics,
+    DepthEstimate,
+    GridGeometry,
+    GroundTruthDepth,
+    LabelGrid,
+    ValidationError,
+)
 from sscuq.projection import (
     _CHUNK_RAYS,
-    _for_each_chunk,
+    _cast_rays,
     _ray_segments,
     build_binary_grid,
     build_prob_grid,
@@ -236,14 +243,39 @@ def test_no_ray_lists_a_voxel_twice(pixels, edge, cells):
 @pytest.mark.parametrize("threads", [1, 2, 3, 5])
 @pytest.mark.parametrize("n_rays", [0, 1, _CHUNK_RAYS, 4 * _CHUNK_RAYS + 1])
 def test_chunks_fold_in_order_whatever_finishes_first(n_rays, threads):
-    def work(start, stop):
+    # a narrow camera in front of a wide grid: every ray has segments, so
+    # each chunk's rays name it
+    intr = CameraIntrinsics(f_u=1000.0, f_v=1000.0, c_h=32.0, c_w=32.0, height=65, width=64)
+    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 1.0))
+    n = intr.height * intr.width
+    pixels = np.zeros(n, bool)
+    pixels[np.arange(n_rays) * n // max(n_rays, 1)] = True  # spread over the image
+
+    def work(ray, voxel, z_lo, z_hi):
+        start, stop = int(ray[0]), int(ray[-1]) + 1
+        assert np.array_equal(np.unique(ray), np.arange(start, stop))
         time.sleep(0.002 * (start // _CHUNK_RAYS % 3 == 0))  # chunks 0, 3, 6, ... finish late
         return start, stop
 
     folded = []
-    _for_each_chunk(n_rays, threads, work, folded.append)
+    _cast_rays(pixels.reshape(intr.height, intr.width), intr, geom, threads, work, folded.append)
     bounds = list(range(0, n_rays, _CHUNK_RAYS)) + [n_rays]
     assert folded == list(zip(bounds[:-1], bounds[1:]))
+
+
+def test_builders_refuse_a_pixel_map_that_does_not_match_the_intrinsics():
+    intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
+    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
+    ones, valid = np.ones((3, 4)), np.ones((3, 4), bool)
+    messages = []
+    for build, depth in (
+        (build_prob_grid, DepthEstimate(ones, ones, valid)),
+        (build_binary_grid, GroundTruthDepth(ones, valid)),
+    ):
+        with pytest.raises(ValueError) as err:
+            build(depth, intr, geom)
+        messages.append(str(err.value))
+    assert messages == ["depth map (3, 4) does not match intrinsics (3, 3)"] * 2
 
 
 def _chunk_scene(height, width, c_h):
@@ -370,7 +402,7 @@ def test_prob_grid_near_dirac_matches_binary():
     valid = uniforms(4243, np.arange(n)).reshape(32, 32) < 0.7
     est = DepthEstimate(np.where(valid, depth, 0.0), np.where(valid, 1e-7, 0.0), valid)
     prob = build_prob_grid(est, intr, geom)
-    binary = build_binary_grid(depth, intr, geom, valid=valid)
+    binary = build_binary_grid(GroundTruthDepth(depth, valid), intr, geom)
     occupied = binary.as_bool()
     assert np.all(prob.values[occupied] >= 0.999)
     assert np.all(prob.values[~occupied] <= 1e-3)
@@ -434,7 +466,7 @@ def test_binary_single_point_single_voxel():
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
     depth = np.zeros((3, 3))
     depth[1, 1] = 2.5
-    grid = build_binary_grid(depth, intr, geom, valid=depth > 0)
+    grid = build_binary_grid(GroundTruthDepth(depth, depth > 0), intr, geom)
     assert grid.values.sum() == 1
     assert grid.values[2, 2, 2] == 1
 
@@ -442,8 +474,25 @@ def test_binary_single_point_single_voxel():
 def test_binary_all_beyond_far_face():
     intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
-    grid = build_binary_grid(np.full((3, 3), 50.0), intr, geom, valid=np.ones((3, 3), bool))
+    grid = build_binary_grid(
+        GroundTruthDepth(np.full((3, 3), 50.0), np.ones((3, 3), bool)), intr, geom
+    )
     assert grid.values.sum() == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_binary_grid_refuses_a_non_finite_depth_on_a_valid_pixel(bad):
+    intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
+    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
+    depth = np.full((3, 3), 2.5)
+    depth[1, 1] = bad
+    valid = np.ones((3, 3), bool)
+    with pytest.raises(ValidationError, match="depth must be finite on valid pixels"):
+        build_binary_grid(GroundTruthDepth(depth, valid), intr, geom)
+    # the raw-array form, which marked nothing for such a pixel and raised
+    # no error, is gone
+    with pytest.raises(TypeError):
+        build_binary_grid(depth, intr, geom, valid=valid)
 
 
 def test_binary_face_point_goes_to_the_voxel_the_ray_enters():
@@ -455,7 +504,7 @@ def test_binary_face_point_goes_to_the_voxel_the_ray_enters():
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.5, 0.5))
     depth = np.zeros((3, 3))
     depth[0, 1] = 2.0
-    grid = build_binary_grid(depth, intr, geom, valid=depth > 0)
+    grid = build_binary_grid(GroundTruthDepth(depth, depth > 0), intr, geom)
     assert np.argwhere(grid.values).tolist() == [[0, 2, 1]]
 
 
@@ -465,8 +514,8 @@ def test_binary_true_depths_land_in_occupied_voxels(seed):
     intr, geom = default_intrinsics(), default_geometry()
     world = generate_scene(default_scene_spec(seed))
     gt, _ = render_depth(world, intr, geom, 0.03, 0.06, seed=seed)
-    grid = build_binary_grid(gt.depth, intr, geom, valid=gt.valid_mask)
+    grid = build_binary_grid(gt, intr, geom)
     assert grid.values.any()
     assert world.occupied_mask()[grid.as_bool()].all()
-    threaded = build_binary_grid(gt.depth, intr, geom, valid=gt.valid_mask, threads=2)
+    threaded = build_binary_grid(gt, intr, geom, threads=2)
     assert threaded.values.tobytes() == grid.values.tobytes()

@@ -51,6 +51,12 @@ def test_derive_seed_separates_streams():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
 
+def test_substream_tags_are_distinct():
+    tags = {k: v for k, v in vars(rng_module).items() if k.startswith("TAG_")}
+    assert len(tags) >= 6
+    assert len(set(tags.values())) == len(tags)
+
+
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32))
 @settings(max_examples=50, deadline=None)
 def test_determinism_any_seed_counter(seed, counter):

@@ -224,11 +224,11 @@ def _classify_reference(labels, spec):
     """classify_labels as written with numpy's axis reductions."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n, m = labels.size, spec.class_count
-    u = rng.uniforms(rng.derive_seed(spec.seed, synth._TAG_TARGET), np.arange(n))
+    u = rng.uniforms(rng.derive_seed(spec.seed, rng.TAG_TARGET), np.arange(n))
     cdf = np.cumsum(spec.confusion, axis=1)[labels - 1]
     target = (u[:, None] > cdf[:, :-1]).sum(axis=1)
     logits = rng.gumbels(
-        rng.derive_seed(spec.seed, synth._TAG_GUMBEL), np.arange(n * m)
+        rng.derive_seed(spec.seed, rng.TAG_GUMBEL), np.arange(n * m)
     ).reshape(n, m)
     logits[np.arange(n), target] += spec.sharpness[labels - 1]
     logits /= spec.temperature

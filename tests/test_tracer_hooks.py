@@ -31,8 +31,24 @@ def test_every_traced_name_resolves_but_the_removed_predictors():
         owner = tracer._resolve(path)
         if owner is None or owner.__dict__.get(attr) is None:
             absent.add(f"{path}.{attr}")
-    # the per-method predictors became one ``model.predict``
-    assert absent == {f"sscuq.pipeline.{m}_predict_batch" for m in ("scp", "cccp", "hcp")}
+    # the per-method predictors became one ``model.predict``, and rendering
+    # casts its rays through projection, where ``_ray_segments`` is traced
+    assert absent == {f"sscuq.pipeline.{m}_predict_batch" for m in ("scp", "cccp", "hcp")} | {
+        "sscuq.synth._ray_segments"
+    }
+
+
+def test_default_simulate_traces_one_ray_segments_span_per_chunk(tmp_path):
+    # 64 x 64 pixels, 1,024 rays per chunk: rendering's traversal stays
+    # visible as projection.ray_segments, under synth.render_depth
+    t = tracer.Tracer()
+    assert t.command(tracer.ROOT_SPAN, main, ["simulate", "--out-dir", str(tmp_path)]) == 0
+    names = [sp[0] for sp in t.spans]
+    render = [i for i, name in enumerate(names) if name == "synth.render_depth"]
+    assert len(render) == 1
+    segments = [sp for sp in t.spans if sp[0] == "projection.ray_segments"]
+    assert len(segments) == 4
+    assert all(sp[3] == render[0] for sp in segments)
 
 
 @pytest.fixture(scope="module")
