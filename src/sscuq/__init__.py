@@ -59,6 +59,7 @@ from .metrics import (
     MetricsReport,
     SweepRow,
     avg_size,
+    class_coverage,
     cov_gap,
     geometry_metrics_from_masks,
     occupied_recall_flat,

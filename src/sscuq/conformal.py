@@ -80,12 +80,20 @@ def _check_softmax(f) -> np.ndarray:
     return f
 
 
-def score_class(f, y: int):
-    """Disagreement of the vector with class y: ``1 - f_y``."""
+def score_class(f, y):
+    """Disagreement ``1 - f_y`` of each vector with class y, which is one class
+    or one class per vector: ``score_class(probs, labels)`` scores each
+    record against its own label.  Only the selected entries become float64."""
     f = _check_softmax(f)
-    if not 1 <= y <= f.shape[-1]:
-        raise ValueError(f"class {y} out of range 1..{f.shape[-1]}")
-    return 1.0 - f[..., y - 1].astype(np.float64)
+    y = np.asarray(y)
+    bad = y[(y < 1) | (y > f.shape[-1])]
+    if bad.size:
+        raise ValueError(f"class {bad.flat[0]} out of range 1..{f.shape[-1]}")
+    if y.ndim == 0:
+        column = f[..., int(y) - 1]
+    else:
+        column = np.take_along_axis(f, (y - 1)[..., None], axis=-1)[..., 0]
+    return 1.0 - column.astype(np.float64)
 
 
 def score_occupied(f):
@@ -222,19 +230,20 @@ class CalibrationSet:
         return cls(probs[mask], labs[mask])
 
 
-def class_quantiles(score, cal: CalibrationSet, alpha: Mapping[int, float]) -> dict[int, float]:
+def class_quantiles(scores, labels, alpha: Mapping[int, float]) -> dict[int, float]:
     """For each class y in ``alpha``, the conformal quantile at rate
-    ``alpha[y]`` of ``score(f, y)`` over the vectors f labeled y.
+    ``alpha[y]`` of the ``scores`` of the records labeled y (one score and
+    one label per record).
 
     A class with too few records gets +inf and raises a DegeneracyWarning.
     """
     quantiles = {}
     for y, a in alpha.items():
-        scores = score(cal.probs[cal.labels == y], y)
-        quantiles[y] = conformal_quantile(scores, a)
+        own = scores[labels == y]
+        quantiles[y] = conformal_quantile(own, a)
         if quantiles[y] == math.inf:
             warnings.warn(
-                f"class {y} has too few calibration records ({scores.size}) for "
+                f"class {y} has too few calibration records ({own.size}) for "
                 f"alpha={a}; its quantile is +inf",
                 DegeneracyWarning,
                 stacklevel=3,
@@ -403,8 +412,8 @@ class HcpModel(_Model):
 
 def scp_calibrate(cal: CalibrationSet, alpha: float) -> ScpModel:
     """Marginal quantile of true-class scores 1 - f_Y."""
-    scores = 1.0 - cal.probs[np.arange(cal.n), cal.labels - 1].astype(np.float64)
-    return ScpModel(class_count=cal.class_count, alpha=alpha, q=conformal_quantile(scores, alpha))
+    q = conformal_quantile(score_class(cal.probs, cal.labels), alpha)
+    return ScpModel(class_count=cal.class_count, alpha=alpha, q=q)
 
 
 def cccp_calibrate(cal: CalibrationSet, alpha: Mapping[int, float]) -> CccpModel:
@@ -415,7 +424,7 @@ def cccp_calibrate(cal: CalibrationSet, alpha: Mapping[int, float]) -> CccpModel
     DegeneracyWarning.
     """
     rates = _class_map("alpha", alpha, range(1, cal.class_count + 1))
-    quantiles = class_quantiles(score_class, cal, rates)
+    quantiles = class_quantiles(score_class(cal.probs, cal.labels), cal.labels, rates)
     return CccpModel(class_count=cal.class_count, alpha=rates, q=quantiles)
 
 
@@ -461,40 +470,31 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
         raise ValidationError(
             f"calibration has {cal.class_count} classes, config {cfg.class_count}"
         )
-    q_o = class_quantiles(
-        lambda f, y: score_kl(f, cfg.epsilon), cal, dict(sorted(cfg.alpha_o.items()))
-    )
-    gated = score_kl(cal.probs, cfg.epsilon) <= max(q_o.values())
+    kl = score_kl(cal.probs, cfg.epsilon)
+    q_o = class_quantiles(kl, cal.labels, dict(sorted(cfg.alpha_o.items())))
+    gated = kl <= max(q_o.values())
+    records = np.bincount(cal.labels, minlength=cfg.class_count + 1)
+    passed = np.bincount(cal.labels[gated], minlength=cfg.class_count + 1)
 
-    alpha_o: dict[int, float] = {}
-    alpha_s: dict[int, float] = {}
-    q_s: dict[int, float] = {}
+    alpha_o, alpha_s = {}, {}
     for y in range(2, cfg.class_count + 1):
-        sel = cal.labels == y
-        tp = int(np.count_nonzero(sel & gated))
-        fn = int(np.count_nonzero(sel & ~gated))
-        if tp + fn == 0:
-            warnings.warn(
-                f"class {y} absent from calibration; semantic quantile is +inf",
-                DegeneracyWarning,
-                stacklevel=2,
-            )
-            alpha_o[y] = 1.0
-            alpha_s[y] = 0.0
-            q_s[y] = math.inf
+        if records[y] == 0:
+            warnings.warn(f"class {y} absent from calibration; semantic quantile is +inf",
+                          DegeneracyWarning, stacklevel=2)
+            alpha_o[y], alpha_s[y] = 1.0, 0.0
             continue
-        a_o = cfg.alpha_o[y] if y in cfg.rare_set else 1.0 - tp / (tp + fn)
-        alpha_o[y] = a_o
+        a_o = float(cfg.alpha_o[y] if y in cfg.rare_set else 1.0 - passed[y] / records[y])
         target = cfg.alpha_target[y]
-        if a_o <= 0.0:
-            a_s = target
-        elif a_o >= 1.0:
-            a_s = 0.0
-        else:
-            a_s = split_alpha(target, a_o)
-        alpha_s[y] = a_s
-        scores = 1.0 - cal.probs[sel & gated, y - 1].astype(np.float64)
-        q_s[y] = math.inf if a_s == 0.0 else conformal_quantile(scores, a_s)
+        alpha_o[y] = a_o
+        alpha_s[y] = target if a_o <= 0.0 else split_alpha(target, a_o) if a_o < 1.0 else 0.0
+
+    # the semantic level: CCCP's rule on the gate-passing records; a class
+    # whose semantic rate is 0 accepts every vector
+    labels = cal.labels[gated]
+    q_s = dict.fromkeys(alpha_s, math.inf)
+    q_s |= class_quantiles(
+        score_class(cal.probs[gated], labels), labels, {y: a for y, a in alpha_s.items() if a > 0}
+    )
 
     return HcpModel(
         class_count=cfg.class_count,

@@ -113,10 +113,13 @@ def class_coverage(member: np.ndarray, labels) -> dict[int, float | None]:
     return coverage
 
 
-def cov_gap(member: np.ndarray, labels, alpha_target: Mapping[int, float]) -> float | None:
-    """Mean over present nonempty classes of |``class_coverage`` - (1 - target)|."""
+def cov_gap(
+    coverage: Mapping[int, float | None], alpha_target: Mapping[int, float]
+) -> float | None:
+    """Mean over present classes of |coverage - (1 - target)|, for the
+    per-class ``coverage`` map that ``class_coverage`` returns."""
     gaps = []
-    for y, c_y in class_coverage(member, labels).items():
+    for y, c_y in coverage.items():
         if c_y is None:
             continue
         if y not in alpha_target:
@@ -174,27 +177,24 @@ def recall_iou_sweep(
         "occupied": lambda f, y: score_occupied(f),
     }[score_kind]
 
-    # the evaluation rows' scores do not depend on the target: score them once
+    # no score depends on the target: score the rare classes' calibration
+    # records and the evaluation rows once
+    in_rare = np.zeros(cal.n, dtype=bool)
+    for y in rare:
+        in_rare |= cal.labels == y
+    cal_labels = cal.labels[in_rare]
+    cal_scores = score(cal.probs[in_rare], cal_labels)
     scores = {y: score(probs, y) for y in rare}
     rows = []
     for target in targets:
-        q = class_quantiles(score, cal, dict.fromkeys(rare, 1.0 - target))
+        q = class_quantiles(cal_scores, cal_labels, dict.fromkeys(rare, 1.0 - target))
         pred_occ = np.zeros(labels.shape[0], dtype=bool)
         for y in rare:
             pred_occ |= scores[y] <= q[y]
-        recalls = []
-        for y in rare:
-            r = occupied_recall_flat(pred_occ, labels, y, cfg.class_count)
-            if r is not None:
-                recalls.append(r)
-        geom = geometry_metrics_from_masks(pred_occ, gt_occ)
-        rows.append(
-            SweepRow(
-                target_recall=target,
-                achieved_recall=min(recalls) if recalls else None,
-                iou=geom.iou,
-            )
-        )
+        recalls = [occupied_recall_flat(pred_occ, labels, y, cfg.class_count) for y in rare]
+        recalls = [r for r in recalls if r is not None]
+        iou = geometry_metrics_from_masks(pred_occ, gt_occ).iou
+        rows.append(SweepRow(target, min(recalls) if recalls else None, iou))
     return rows
 
 

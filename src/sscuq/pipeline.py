@@ -353,6 +353,7 @@ def run_evaluate(
     probs = softmax.flat()[test]
     labs = labels.flat()[test]
     occ, member = model.predict(probs)
+    coverage = class_coverage(member, labs)
 
     gt_occ = labs >= 2
     geom = geometry_metrics_from_masks(occ, gt_occ)
@@ -369,9 +370,9 @@ def run_evaluate(
         per_class_iou=per_class_iou,
         miou=miou,
         occupied_recall=recalls,
-        cov_gap=cov_gap(member, labs, model.target_rates),
+        cov_gap=cov_gap(coverage, model.target_rates),
         avg_size=avg_size(member),
-        per_class_coverage=class_coverage(member, labs),
+        per_class_coverage=coverage,
     )
     doc = report.to_json_dict()
     if out_json:

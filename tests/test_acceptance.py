@@ -28,7 +28,7 @@ from sscuq.conformal import (
 )
 from sscuq.depth import kl_loss
 from sscuq.grids import DepthEstimate, GridGeometry
-from sscuq.metrics import avg_size, cov_gap, recall_iou_sweep
+from sscuq.metrics import avg_size, class_coverage, cov_gap, recall_iou_sweep
 from sscuq.projection import build_prob_grid
 from sscuq.rng import normals, uniforms
 from sscuq.synth import default_geometry, default_intrinsics
@@ -305,8 +305,8 @@ def test_criterion_7_hcp_vs_baselines(scene_runs):
 
         hcp_size = avg_size(hcp_member)
         cccp_size = avg_size(cccp_member)
-        hcp_gap = cov_gap(hcp_member, test_labels, ALPHA_TARGET)
-        scp_gap = cov_gap(scp_member, test_labels, ALPHA_TARGET)
+        hcp_gap = cov_gap(class_coverage(hcp_member, test_labels), ALPHA_TARGET)
+        scp_gap = cov_gap(class_coverage(scp_member, test_labels), ALPHA_TARGET)
         sizes.append((hcp_size, cccp_size))
         gaps.append((hcp_gap, scp_gap))
         wins += hcp_size <= cccp_size and hcp_gap <= scp_gap

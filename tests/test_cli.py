@@ -234,6 +234,30 @@ def test_strict_escalates_degenerate_rare_class(tmp_path, sim_dir):
     assert json.loads(r.stdout.splitlines()[-1])["warnings"]
 
 
+def test_strict_escalates_an_unreachable_hcp_semantic_quantile(tmp_path):
+    # alpha_s = 1 - 0.599/0.6 for person needs 599 gate-passing person
+    # records; the default scene's calibration split has 68
+    sim = tmp_path / "sim"
+    assert run_cli("simulate", "--out-dir", str(sim)).returncode == 0
+    argv = [
+        "calibrate", "--method", "hcp", "--seed", "0",
+        "--softmax", str(sim / "softmax.sscg"),
+        "--labels", str(sim / "labels.sscg"),
+        "--alpha-target", "person=0.401",
+        "--alpha-o", "person=0.4",
+    ]
+    lenient = run_cli(*argv, "--out", str(tmp_path / "lenient.json"))
+    assert lenient.returncode == 0, lenient.stderr
+    strict = run_cli(*argv, "--out", str(tmp_path / "strict.json"), "--strict")
+    assert strict.returncode == 4, (strict.stdout, strict.stderr)
+    warnings = json.loads(strict.stdout)["warnings"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("class 5 has too few calibration records (68) for alpha=0.00166")
+    assert json.loads(lenient.stdout)["warnings"] == warnings
+    assert (tmp_path / "strict.json").read_bytes() == (tmp_path / "lenient.json").read_bytes()
+    assert json.loads((tmp_path / "strict.json").read_text())["q_s"]["5"] == "inf"
+
+
 def test_strict_escalates_degenerate_sweep_target(tmp_path, sim_dir):
     out, _ = sim_dir
     argv = [

@@ -53,6 +53,29 @@ def test_score_class_rejects_out_of_range():
         score_class(np.array([0.5, 0.5]), 3)
 
 
+def test_score_class_of_labels_is_each_row_own_column():
+    cal, _, _ = sample_benchmark(12, 600, 10)
+    for probs in (cal.probs, cal.probs.astype(np.float32)):
+        got = score_class(probs, cal.labels)
+        assert got.dtype == np.float64 and got.shape == (cal.n,)
+        want = [score_class(row, y) for row, y in zip(probs, cal.labels)]
+        assert np.array_equal(got, want)
+    # vectors on a grid take one label per vector, in the same layout
+    got = score_class(cal.probs.reshape(20, 30, -1), cal.labels.reshape(20, 30))
+    assert np.array_equal(got, score_class(cal.probs, cal.labels).reshape(20, 30))
+
+
+@pytest.mark.parametrize("bad", [0, 4, -1])
+@pytest.mark.parametrize("where", [0, 3, 5])
+def test_score_class_rejects_one_out_of_range_label_anywhere(bad, where):
+    labels = np.array([1, 2, 3, 3, 2, 1])
+    labels[where] = bad
+    with pytest.raises(ValueError, match=f"class {bad} out of range 1..3"):
+        score_class(np.full((6, 3), 1 / 3), labels)
+    with pytest.raises(ValueError, match=f"class {bad} out of range 1..3"):
+        score_class(np.full(3, 1 / 3), bad)
+
+
 def test_score_occupied_cases():
     assert score_occupied(np.array([1.0, 0.0, 0.0])) == 1.0
     assert score_occupied(np.array([0.0, 0.6, 0.4])) == 0.0
@@ -380,6 +403,31 @@ def test_hcp_all_empty_calibration_degenerates_to_accept_all():
     assert member[0, 1] and member[0, 2]
 
 
+def test_hcp_reports_a_semantic_quantile_its_gated_records_cannot_reach():
+    # alpha_target 0.301 over alpha_o 0.3 leaves alpha_s = 1 - 0.699/0.7,
+    # about 0.0014, which needs 699 gate-passing person records
+    cal, _, _ = sample_benchmark(7, 3000, 10)
+    cfg = HcpConfig(
+        class_count=5,
+        rare_set=frozenset({5}),
+        alpha_o={5: 0.3},
+        alpha_target=dict(ALPHA_TARGET) | {5: 0.301},
+    )
+    with pytest.warns(DegeneracyWarning, match="class 5 has too few calibration records") as rec:
+        model = hcp_calibrate(cal, cfg)
+    assert model.alpha_s[5] == split_alpha(0.301, 0.3) > 0.0
+    assert model.q_s[5] == math.inf
+    # the count is of the class's gate-passing records, not all its records
+    gated = score_kl(cal.probs, cfg.epsilon) <= model.gate_threshold
+    n_gated = int(np.count_nonzero(gated & (cal.labels == 5)))
+    assert 0 < n_gated < np.count_nonzero(cal.labels == 5)
+    messages = [str(w.message) for w in rec if issubclass(w.category, DegeneracyWarning)]
+    assert messages == [
+        f"class 5 has too few calibration records ({n_gated}) for "
+        f"alpha={model.alpha_s[5]}; its quantile is +inf"
+    ]
+
+
 def test_hcp_predict_gate_rejects_confident_empty():
     cal, _, _ = sample_benchmark(2, 4000, 10)
     model = hcp_calibrate(cal, default_hcp_config())
@@ -603,9 +651,10 @@ def test_model_codec_roundtrip_is_byte_stable(tmp_path, name):
 def test_class_quantiles_use_each_class_own_records():
     cal, _, _ = sample_benchmark(11, 3000, 10)
     rates = {2: 0.1, 3: 0.2, 5: 0.3}
-    got = class_quantiles(score_class, cal, rates)
+    got = class_quantiles(score_class(cal.probs, cal.labels), cal.labels, rates)
     for y, a in rates.items():
         assert got[y] == conformal_quantile(1.0 - cal.probs[cal.labels == y, y - 1], a)
-    kl = class_quantiles(lambda f, y: score_kl(f, 0.01), cal, {5: 0.3})
+    kl = class_quantiles(score_kl(cal.probs, 0.01), cal.labels, {5: 0.3})
     assert kl[5] == conformal_quantile(score_kl(cal.probs, 0.01)[cal.labels == 5], 0.3)
+    assert kl[5] == conformal_quantile(score_kl(cal.probs[cal.labels == 5], 0.01), 0.3)
     assert kl == hcp_calibrate(cal, default_hcp_config()).q_o

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sscuq.conformal import CalibrationSet
+from sscuq.conformal import CalibrationSet, HcpConfig, conformal_quantile, score_kl
 from sscuq.grids import LabelGrid
 from sscuq.metrics import (
     avg_size,
+    class_coverage,
     cov_gap,
     geometry_metrics_from_masks,
     occupied_recall_flat,
@@ -108,7 +109,8 @@ def test_cov_gap_all_covered_zero_alpha_like():
     labels = np.array([2, 2, 3, 3])
     member[np.arange(4), labels - 1] = True
     # alpha -> 0 means target coverage 1; every label covered -> gap 0
-    assert cov_gap(member, labels, {2: 1e-9, 3: 1e-9}) == pytest.approx(0.0, abs=1e-8)
+    coverage = class_coverage(member, labels)
+    assert cov_gap(coverage, {2: 1e-9, 3: 1e-9}) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_cov_gap_two_class_arithmetic():
@@ -116,14 +118,14 @@ def test_cov_gap_two_class_arithmetic():
     member = np.zeros((40, 3), dtype=bool)
     member[:17, 1] = True  # class 2 coverage 0.85
     member[20:39, 2] = True  # class 3 coverage 0.95
-    got = cov_gap(member, labels, {2: 0.1, 3: 0.1})
+    got = cov_gap(class_coverage(member, labels), {2: 0.1, 3: 0.1})
     assert got == pytest.approx((abs(0.85 - 0.9) + abs(0.95 - 0.9)) / 2)
 
 
 def test_cov_gap_single_class_total_miss():
     labels = np.array([2, 2])
     member = np.zeros((2, 2), dtype=bool)
-    assert cov_gap(member, labels, {2: 0.1}) == pytest.approx(0.9)
+    assert cov_gap(class_coverage(member, labels), {2: 0.1}) == pytest.approx(0.9)
 
 
 def test_avg_size_examples():
@@ -154,6 +156,31 @@ def test_sweep_rows_monotone_gate_and_recall():
         se = np.sqrt(row.target_recall * (1 - row.target_recall) * (1 / n_cal + 1 / n_test))
         assert row.achieved_recall >= row.target_recall - 2.5 * se
         assert 0.0 <= row.iou <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["kl", "class", "occupied"])
+def test_sweep_with_two_rare_classes_matches_a_per_class_oracle(kind):
+    # each rare class's gate quantile ranks that class's own calibration
+    # records, scored against its own label for the class score
+    _, _, cal, _, test_labels, test_probs = scene_benchmark(5)
+    cfg = HcpConfig(
+        class_count=5, rare_set=frozenset({4, 5}), alpha_o={4: 0.3, 5: 0.3},
+        alpha_target=default_hcp_config().alpha_target,
+    )
+    score = {
+        "kl": lambda f, y: score_kl(f, cfg.epsilon),
+        "class": lambda f, y: 1.0 - f[:, y - 1].astype(np.float64),
+        "occupied": lambda f, y: f[:, 0].astype(np.float64),
+    }[kind]
+    targets = [0.3, 0.6, 0.9]
+    rows = recall_iou_sweep(test_probs, test_labels, cal, cfg, kind, targets)
+    for target, row in zip(targets, rows):
+        pred = np.zeros(test_labels.size, dtype=bool)
+        for y in (4, 5):
+            q = conformal_quantile(score(cal.probs[cal.labels == y], y), 1.0 - target)
+            pred |= score(test_probs, y) <= q
+        recall = min(pred[test_labels == y].mean() for y in (4, 5))
+        assert row == (target, recall, geometry_metrics_from_masks(pred, test_labels >= 2).iou)
 
 
 def test_sweep_rejects_bad_targets():

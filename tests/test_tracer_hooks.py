@@ -122,3 +122,11 @@ def test_each_command_opens_the_spans_of_the_layers_it_runs(run, tmp_path):
         if command == "evaluate":
             # geometry, mIoU, cov_gap, avg_size and one occupied recall per nonempty class
             assert names.count("metrics.report") == 4 + 4
+        else:
+            # KL is scored once per record: calibrate's records in one call,
+            # sweep's rare-class records and test rows in one call each,
+            # whatever the number of targets.  Quantiles: calibrate's gate
+            # and three semantic ones, sweep's gate once per target.
+            kl, quantiles = {"calibrate": (1, 4), "sweep": (2, 2)}[command]
+            assert names.count("conformal.score_kl") == kl
+            assert names.count("conformal.conformal_quantile") == quantiles
