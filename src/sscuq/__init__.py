@@ -56,7 +56,6 @@ from .conformal import (
 )
 from .metrics import (
     GeometryMetrics,
-    MetricsReport,
     SweepRow,
     avg_size,
     class_coverage,

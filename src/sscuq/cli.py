@@ -15,6 +15,7 @@ import sys
 
 from .container import ContainerError
 from .grids import ValidationError
+from .metrics import check_targets
 from .pipeline import (
     ConfigError,
     PipelineConfig,
@@ -198,7 +199,10 @@ def main(argv=None) -> int:
                 out_csv=args.out_csv,
             )
         else:
-            targets = [float(t) for t in args.targets.split(",")]
+            try:
+                targets = check_targets(args.targets.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"--targets {args.targets!r}: {exc}") from None
             summary = run_sweep(args.softmax, args.labels, cfg, args.score, targets, args.out)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_CONFIG}), file=sys.stderr)

@@ -21,19 +21,17 @@ in an HCP prediction set (the empty set itself encodes "empty").
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
 
-from .container import atomic_write
+from .container import read_json, write_json
 from .grids import (
     LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_softmax_rows, decode, row_blocks,
-    row_reduce,
+    row_reduce, set_fields,
 )
 
 __all__ = [
@@ -196,8 +194,10 @@ class CalibrationSet:
         # float32 rows (from_grids passes the container's) are kept as they
         # are: every score converts what it reads to float64
         probs = np.asarray(self.probs)
-        probs = np.ascontiguousarray(probs, None if probs.dtype == np.float32 else np.float64)
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
+        if probs.dtype != np.float32:
+            probs = probs.astype(np.float64, copy=False)
+        set_fields(self, probs=probs, labels=np.asarray(self.labels, dtype=np.int64))
+        probs, labels = self.probs, self.labels
         if probs.ndim != 2:
             raise ValidationError("probs must be (N, M)")
         check_softmax_rows(probs)
@@ -205,10 +205,6 @@ class CalibrationSet:
             raise ValidationError("labels must be a vector matching probs rows")
         if labels.size and (labels.min() < 1 or labels.max() > probs.shape[1]):
             raise ValidationError("labels out of range")
-        probs.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -260,11 +256,6 @@ def class_quantiles(scores, labels, alpha: Mapping[int, float]) -> dict[int, flo
 # could have written is refused when it is loaded.
 
 
-def _set(obj, **values) -> None:
-    for name, value in values.items():
-        object.__setattr__(obj, name, value)
-
-
 def _check_hcp(obj) -> frozenset[int]:
     """Check and normalize the rare set, epsilon and alpha_target of an
     HcpConfig or HcpModel; returns the rare set."""
@@ -276,7 +267,7 @@ def _check_hcp(obj) -> frozenset[int]:
         raise ValidationError(f"rare_set {sorted(rare)} must hold nonempty classes in 2..{m}")
     _check_rate("epsilon", obj.epsilon)
     alpha_target = _class_map("alpha_target", obj.alpha_target, range(2, m + 1))
-    _set(obj, rare_set=rare, alpha_target=alpha_target)
+    set_fields(obj, rare_set=rare, alpha_target=alpha_target)
     return rare
 
 
@@ -350,8 +341,8 @@ class CccpModel(_Model):
     def __post_init__(self):
         super().__post_init__()
         classes = range(1, self.class_count + 1)
-        _set(self, alpha=_class_map("alpha", self.alpha, classes),
-             q=_class_map("q", self.q, classes, None))
+        set_fields(self, alpha=_class_map("alpha", self.alpha, classes),
+                   q=_class_map("q", self.q, classes, None))
 
     def _quantiles(self):
         return _quantile_row(self.q, self.class_count)
@@ -376,7 +367,7 @@ class HcpModel(_Model):
     def __post_init__(self):
         super().__post_init__()
         rare, nonempty = _check_hcp(self), range(2, self.class_count + 1)
-        _set(
+        set_fields(
             self,
             q_o=_class_map("q_o", self.q_o, rare, None),
             alpha_o=_class_map("alpha_o", self.alpha_o, nonempty, "[0, 1]"),
@@ -449,7 +440,7 @@ class HcpConfig:
     epsilon: float = 0.01
 
     def __post_init__(self):
-        _set(self, alpha_o=_class_map("alpha_o", self.alpha_o, _check_hcp(self)))
+        set_fields(self, alpha_o=_class_map("alpha_o", self.alpha_o, _check_hcp(self)))
 
 
 def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
@@ -547,7 +538,7 @@ def save_model(model, path, extra: dict | None = None) -> None:
     for f in fields(model):
         doc[f.name] = _ENCODERS[f.type](getattr(model, f.name))
     doc.update(extra or {})
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path, extra: dict | None = None):
@@ -557,14 +548,7 @@ def load_model(path, extra: dict | None = None):
     ``extra`` is given, the document's keys that are not model fields
     (those save_model's ``extra`` wrote) are copied into it.
     """
-    path = os.fspath(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-            raise ValidationError(f"model {path} is not valid UTF-8 JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"model JSON must be an object, got {type(doc).__name__}")
+    doc = read_json(path, "model", ValidationError)
     method = doc.get("method")
     cls = _MODEL_TYPES.get(method) if isinstance(method, str) else None
     if cls is None:

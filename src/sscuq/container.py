@@ -1,4 +1,6 @@
-"""SSCG binary container: the package's sole persistence format.
+"""SSCG binary container: the package's sole grid persistence format, and
+the reader and writer of the package's JSON documents (configs, models,
+metrics).
 
 Layout, in order:
 
@@ -117,6 +119,27 @@ def atomic_write(path, data: bytes | str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_json(path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the UTF-8 file at ``path``.  A file that is not
+    UTF-8 JSON, or holds a JSON value that is not an object, raises
+    ``error`` naming ``what`` and ``path``."""
+    path = os.fspath(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with sorted keys, an indent of 2 and a trailing
+    newline, atomically (see ``atomic_write``)."""
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _positive_int(value) -> bool:

@@ -1,8 +1,11 @@
 """Domain types: camera model, grid geometry, depth maps, and voxel grids.
 
 All types validate their invariants at construction and hold read-only
-arrays, so instances can be shared freely across threads.  Class labels
-are 1-based throughout the package; class 1 is the empty class.
+arrays, so instances can be shared freely across threads.  A constructor
+given a C-contiguous array of the field's dtype stores that array and
+makes it read-only in place, so the caller's array is frozen too; any
+other input is copied.  ``LabelGrid`` always copies its labels.  Class
+labels are 1-based throughout the package; class 1 is the empty class.
 """
 
 from __future__ import annotations
@@ -162,10 +165,16 @@ def check_softmax_rows(probs: np.ndarray) -> None:
         raise ValidationError(f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+def set_fields(obj, **values) -> None:
+    """Store ``values`` as fields of the frozen dataclass ``obj``, from its
+    ``__post_init__``.  An array is stored C-contiguous and read-only: one
+    that is already contiguous is frozen in place, not copied, so a caller
+    who passes it sees it frozen.  Other values are stored as given."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value)
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -203,16 +212,14 @@ class GridGeometry:
     origin: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if len(dims) != 3 or any(n < 1 for n in dims):
+        set_fields(self, dims=tuple(int(n) for n in self.dims),
+                   origin=np.asarray(self.origin, dtype=np.float64))
+        if len(self.dims) != 3 or any(n < 1 for n in self.dims):
             raise ValidationError("dims must be three positive voxel counts")
         if not (self.voxel_edge > 0 and np.isfinite(self.voxel_edge)):
             raise ValidationError("voxel_edge must be positive and finite")
-        origin = _frozen(np.asarray(self.origin, dtype=np.float64))
-        if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+        if self.origin.shape != (3,) or not np.all(np.isfinite(self.origin)):
             raise ValidationError("origin must be a finite 3-vector")
-        object.__setattr__(self, "origin", origin)
 
     @property
     def voxel_count(self) -> int:
@@ -237,9 +244,13 @@ class DepthEstimate:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        mean = _frozen(np.asarray(self.mean, dtype=np.float64))
-        sigma = _frozen(np.asarray(self.sigma, dtype=np.float64))
-        valid = _frozen(np.asarray(self.valid_mask, dtype=bool))
+        set_fields(
+            self,
+            mean=np.asarray(self.mean, dtype=np.float64),
+            sigma=np.asarray(self.sigma, dtype=np.float64),
+            valid_mask=np.asarray(self.valid_mask, dtype=bool),
+        )
+        mean, sigma, valid = self.mean, self.sigma, self.valid_mask
         _check_depth_pair(mean, valid, "mean")
         if sigma.shape != mean.shape:
             raise ValidationError("sigma shape must match mean")
@@ -247,9 +258,6 @@ class DepthEstimate:
             raise ValidationError("mean must be positive on valid pixels")
         if np.any(sigma[valid] <= 0) or not np.all(np.isfinite(sigma[valid])):
             raise ValidationError("sigma must be positive and finite on valid pixels")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "valid_mask", valid)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -264,13 +272,11 @@ class GroundTruthDepth:
     valid_mask: np.ndarray
 
     def __post_init__(self):
-        depth = _frozen(np.asarray(self.depth, dtype=np.float64))
-        valid = _frozen(np.asarray(self.valid_mask, dtype=bool))
-        _check_depth_pair(depth, valid, "depth")
-        if np.any(depth[valid] <= 0):
+        set_fields(self, depth=np.asarray(self.depth, dtype=np.float64),
+                   valid_mask=np.asarray(self.valid_mask, dtype=bool))
+        _check_depth_pair(self.depth, self.valid_mask, "depth")
+        if np.any(self.depth[self.valid_mask] <= 0):
             raise ValidationError("depth must be positive on valid pixels")
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "valid_mask", valid)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -291,11 +297,10 @@ class ProbOccupancyGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(np.asarray(self.values, dtype=np.float32))
-        _check_3d(values)
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        set_fields(self, values=np.asarray(self.values, dtype=np.float32))
+        _check_3d(self.values)
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
             raise ValidationError("occupancy probabilities must lie in [0, 1]")
-        object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -309,11 +314,10 @@ class BinaryOccupancyGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen(np.asarray(self.values, dtype=np.uint8))
-        _check_3d(values)
-        if not np.all(values <= 1):
+        set_fields(self, values=np.asarray(self.values, dtype=np.uint8))
+        _check_3d(self.values)
+        if not np.all(self.values <= 1):
             raise ValidationError("binary occupancy values must be 0 or 1")
-        object.__setattr__(self, "values", values)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -334,11 +338,10 @@ class SoftmaxGrid:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = _frozen(np.asarray(self.probs, dtype=np.float32))
-        if probs.ndim != 4 or any(n < 1 for n in probs.shape[:3]):
+        set_fields(self, probs=np.asarray(self.probs, dtype=np.float32))
+        if self.probs.ndim != 4 or any(n < 1 for n in self.dims):
             raise ValidationError("softmax grid must be a 4-d array with positive dims")
-        check_softmax_rows(probs)
-        object.__setattr__(self, "probs", probs)
+        check_softmax_rows(self.probs)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -366,15 +369,12 @@ class LabelGrid:
         if not (low >= 1 and high <= np.iinfo(np.uint16).max):  # a NaN fails too
             raise ValidationError("labels must fit in {1..65535}")
         # the copy also keeps the grid from freezing the caller's array
-        labels = _frozen(labels.astype(np.uint16))
-        _check_3d(labels)
-        m = int(self.class_count)
-        object.__setattr__(self, "class_count", m)
-        if m < 1:
+        set_fields(self, labels=labels.astype(np.uint16), class_count=int(self.class_count))
+        _check_3d(self.labels)
+        if self.class_count < 1:
             raise ValidationError("class_count must be at least 1")
-        if int(high) > m:  # the uint16 cast truncates, as int() does
+        if int(high) > self.class_count:  # the uint16 cast truncates, as int() does
             raise ValidationError("labels must lie in {1..class_count}")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dims(self) -> tuple[int, int, int]:

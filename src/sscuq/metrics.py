@@ -9,7 +9,6 @@ they serve a whole grid (``grid.flat()``) and a split subset alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ from .conformal import (  # noqa: F401
 
 __all__ = [
     "GeometryMetrics",
-    "MetricsReport",
     "SweepRow",
     "geometry_metrics_from_masks",
     "semantic_miou_flat",
@@ -142,6 +140,17 @@ class SweepRow(NamedTuple):
     iou: float | None
 
 
+def check_targets(targets: Sequence) -> list[float]:
+    """``targets`` as floats, once they are strictly increasing recalls
+    inside (0, 1); ValueError otherwise."""
+    targets = [float(t) for t in targets]
+    if any(not 0.0 < t < 1.0 for t in targets):
+        raise ValueError("targets must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(targets, targets[1:])):
+        raise ValueError("targets must be strictly increasing")
+    return targets
+
+
 def recall_iou_sweep(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -161,11 +170,7 @@ def recall_iou_sweep(
     """
     if score_kind not in ("kl", "class", "occupied"):
         raise ValueError(f"unknown score kind {score_kind!r}")
-    targets = [float(t) for t in targets]
-    if any(not 0.0 < t < 1.0 for t in targets):
-        raise ValueError("targets must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(targets, targets[1:])):
-        raise ValueError("targets must be strictly increasing")
+    targets = check_targets(targets)
     if probs.shape[-1] != cfg.class_count or cal.class_count != cfg.class_count:
         raise ValueError("class counts differ between rows, calibration, and config")
 
@@ -196,24 +201,3 @@ def recall_iou_sweep(
         iou = geometry_metrics_from_masks(pred_occ, gt_occ).iou
         rows.append(SweepRow(target, min(recalls) if recalls else None, iou))
     return rows
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Everything the evaluation pipeline reports for one model run."""
-
-    iou: float | None
-    precision: float | None
-    recall: float | None
-    per_class_iou: dict
-    miou: float | None
-    occupied_recall: dict
-    cov_gap: float | None
-    avg_size: float | None
-    per_class_coverage: dict
-
-    def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        for key in ("per_class_iou", "occupied_recall", "per_class_coverage"):
-            doc[key] = {str(y): v for y, v in sorted(doc[key].items())}
-        return doc

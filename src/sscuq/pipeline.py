@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import json
 import math
 import os
 import warnings
@@ -32,20 +31,17 @@ from .conformal import (
     save_model,
     scp_calibrate,
 )
-from .container import _KIND_OF, atomic_write, read_grid, write_grid
+from .container import _KIND_OF, atomic_write, read_grid, read_json, write_grid, write_json
 from .grids import (
     CameraIntrinsics,
     GridGeometry,
     GroundTruthDepth,
-    LabelGrid,
     Seed,
-    SoftmaxGrid,
     ValidationError,
     check_aligned,
     decode,
 )
 from .metrics import (
-    MetricsReport,
     class_coverage,
     cov_gap,
     avg_size,
@@ -165,15 +161,7 @@ class PipelineConfig:
     def load(cls, path: str | None, seed_override: int | None = None) -> "PipelineConfig":
         """Load a config file (the defaults when ``path`` is None);
         ``seed_override`` replaces its root seed."""
-        doc = {}
-        if path is not None:
-            with open(path, encoding="utf-8") as fh:
-                try:
-                    doc = json.load(fh)
-                except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-                    raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from None
-            if not isinstance(doc, dict):
-                raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+        doc = {} if path is None else read_json(path, "config", ConfigError)
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_json_dict(doc)
@@ -269,14 +257,13 @@ def run_project(
 
 
 def _load_pair(softmax_path: str, labels_path: str):
-    softmax = read_grid(softmax_path)
-    labels = read_grid(labels_path)
-    if not isinstance(softmax, SoftmaxGrid):
-        raise ValidationError(f"{softmax_path} does not hold a softmax grid")
-    if not isinstance(labels, LabelGrid):
-        raise ValidationError(f"{labels_path} does not hold a label grid")
-    check_aligned(softmax, labels)
-    return softmax, labels
+    pair = read_grid(softmax_path), read_grid(labels_path)
+    for path, grid, want in zip((softmax_path, labels_path), pair, ("softmax", "labels")):
+        kind = _KIND_OF[type(grid)]
+        if kind != want:
+            raise ValidationError(f"{path} holds a {kind} container, not {want}")
+    check_aligned(*pair)
+    return pair
 
 
 @contextlib.contextmanager
@@ -355,30 +342,34 @@ def run_evaluate(
     occ, member = model.predict(probs)
     coverage = class_coverage(member, labs)
 
-    gt_occ = labs >= 2
-    geom = geometry_metrics_from_masks(occ, gt_occ)
-    argmax_labels = probs.argmax(axis=1) + 1
+    geom = geometry_metrics_from_masks(occ, labs >= 2)
+    argmax_labels = probs.argmax(axis=1)
+    argmax_labels += 1  # in place: one int64 array per test row, not two
     per_class_iou, miou = semantic_miou_flat(argmax_labels, labs, model.class_count)
-    recalls = {
-        y: occupied_recall_flat(occ, labs, y, model.class_count)
-        for y in range(2, model.class_count + 1)
+    classes = range(2, model.class_count + 1)
+    # the report: the JSON file, the CSV and the summary all show this one
+    # document, whose per-class maps are keyed by str(class) as JSON keys are
+    doc = {
+        "iou": geom.iou,
+        "precision": geom.precision,
+        "recall": geom.recall,
+        "per_class_iou": {str(y): per_class_iou[y] for y in classes},
+        "miou": miou,
+        "occupied_recall": {
+            str(y): occupied_recall_flat(occ, labs, y, model.class_count) for y in classes
+        },
+        "cov_gap": cov_gap(coverage, model.target_rates),
+        "avg_size": avg_size(member),
+        "per_class_coverage": {str(y): coverage[y] for y in classes},
     }
-    report = MetricsReport(
-        iou=geom.iou,
-        precision=geom.precision,
-        recall=geom.recall,
-        per_class_iou=per_class_iou,
-        miou=miou,
-        occupied_recall=recalls,
-        cov_gap=cov_gap(coverage, model.target_rates),
-        avg_size=avg_size(member),
-        per_class_coverage=coverage,
-    )
-    doc = report.to_json_dict()
     if out_json:
-        atomic_write(out_json, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        write_json(out_json, doc)
     if out_csv:
-        _write_report_csv(report, model.class_count, out_csv)
+        per_class = ("per_class_iou", "per_class_coverage", "occupied_recall")
+        rows = [["row", "class", "iou", "coverage", "occupied_recall"]]
+        rows += [["class", y, *(doc[key][str(y)] for key in per_class)] for y in classes]
+        rows.append(["aggregate", "", doc["iou"], doc["cov_gap"], doc["avg_size"]])
+        _write_csv(out_csv, rows)
     return {"command": "evaluate", "test_records": int(test.sum()), "report": doc}
 
 
@@ -386,15 +377,6 @@ def _write_csv(path: str, rows) -> None:
     text = io.StringIO()
     csv.writer(text).writerows(rows)
     atomic_write(path, text.getvalue())
-
-
-def _write_report_csv(report: MetricsReport, class_count: int, path: str) -> None:
-    per_class = (report.per_class_iou, report.per_class_coverage, report.occupied_recall)
-    rows = [["row", "class", "iou", "coverage", "occupied_recall"]]
-    for y in range(2, class_count + 1):
-        rows.append(["class", y, *(d.get(y) for d in per_class)])
-    rows.append(["aggregate", "", report.iou, report.cov_gap, report.avg_size])
-    _write_csv(path, rows)
 
 
 def run_sweep(

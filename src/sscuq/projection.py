@@ -157,17 +157,18 @@ def _cast_rays(
     cast in raster order, ``_CHUNK_RAYS`` rays per call of
     ``_ray_segments``, and ``fold(work(ray, voxel, z_lo, z_hi))`` runs
     for each chunk, with ``ray`` counting the cast pixels from 0.
-    With ``threads > 1`` the chunks run in groups of ``threads``: the
-    calling thread works on the first chunk of a group while a pool of
-    ``threads - 1`` workers takes the rest.  ``fold`` sees the results
-    in chunk order on the calling thread, so the outcome never depends
-    on ``threads``.
+    The chunks run in groups of ``threads``: the calling thread works on
+    the first chunk of a group while a pool of ``threads - 1`` workers
+    takes the rest.  ``fold`` sees the results in chunk order on the
+    calling thread, so the outcome never depends on ``threads``.
     """
     if pixels.shape != (intr.height, intr.width):
         raise ValueError(
             f"depth map {pixels.shape} does not match intrinsics "
             f"{(intr.height, intr.width)}"
         )
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     dirs = ray_direction(*np.nonzero(pixels), intr)
 
     def chunk(start):
@@ -176,11 +177,8 @@ def _cast_rays(
         return work(ray, voxel, z_lo, z_hi)
 
     starts = range(0, len(dirs), _CHUNK_RAYS)
-    if threads <= 1 or len(starts) <= 1:
-        for start in starts:
-            fold(chunk(start))
-        return
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+    # with one thread each group is one chunk and no worker thread starts
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
         for first in range(0, len(starts), threads):
             group = starts[first : first + threads]
             futures = [pool.submit(chunk, start) for start in group[1:]]

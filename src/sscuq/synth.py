@@ -27,6 +27,7 @@ from .grids import (
     SoftmaxGrid,
     ValidationError,
     row_reduce,
+    set_fields,
 )
 from .projection import _cast_rays
 
@@ -99,8 +100,7 @@ class SceneSpec:
         # written so that a NaN fails it
         if not (all(f >= 0 for f in mix.values()) and sum(mix.values()) <= 1.0):
             raise ValidationError("class_mix fractions must be non-negative with a sum <= 1")
-        object.__setattr__(self, "class_mix", mix)
-        object.__setattr__(self, "templates", tuple(self.templates))
+        set_fields(self, class_mix=mix, templates=tuple(self.templates))
         if any(t.class_id > self.class_count for t in self.templates):
             raise ValidationError("template class ids exceed class_count")
 
@@ -129,17 +129,12 @@ class ClassifierSpec:
         # each test is written so that a NaN fails it
         if not np.all(conf >= 0) or not np.all(np.abs(conf.sum(axis=1) - 1.0) <= 1e-9):
             raise ValidationError("confusion rows must be probability vectors")
-        conf = np.ascontiguousarray(conf)
-        conf.setflags(write=False)
-        object.__setattr__(self, "confusion", conf)
         sharp = np.asarray(self.sharpness, dtype=np.float64)
         if sharp.ndim == 0:
             sharp = np.full(conf.shape[0], float(sharp))
         if sharp.shape != (conf.shape[0],) or not np.all((sharp > 0) & (sharp < np.inf)):
             raise ValidationError("sharpness must be positive and finite, scalar or one per class")
-        sharp = np.ascontiguousarray(sharp)
-        sharp.setflags(write=False)
-        object.__setattr__(self, "sharpness", sharp)
+        set_fields(self, confusion=conf, sharpness=sharp)
         if not 0 < self.temperature < math.inf:
             raise ValidationError("temperature must be positive and finite")
 

@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 import re
@@ -322,6 +323,81 @@ def test_sweep_writes_csv(tmp_path, sim_dir):
     assert len(lines) == 4
     summary = json.loads(r.stdout)
     assert [row["target_recall"] for row in summary["rows"]] == [0.3, 0.5, 0.7]
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ("0.5,abc", "could not convert string to float: 'abc'"),
+        ("", "could not convert string to float: ''"),
+        ("0.5,1.5", "targets must lie strictly inside (0, 1)"),
+        ("0.9,0.5", "targets must be strictly increasing"),
+    ],
+)
+def test_malformed_sweep_targets_are_config_errors(sim_dir, capsys, targets, message):
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    code, err = _main(capsys, "sweep", *data, "--targets", targets)
+    assert code == 2, err
+    error = json.loads(err)["error"]
+    assert error.startswith("--targets") and message in error
+
+
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "sweep"])
+@pytest.mark.parametrize(
+    "softmax, labels, wrong, holds",
+    [
+        ("labels", "softmax", "labels", "labels container, not softmax"),
+        ("softmax", "softmax", "softmax", "softmax container, not labels"),
+    ],
+)
+def test_softmax_or_labels_of_the_wrong_kind_names_the_kind_it_holds(
+    tmp_path, sim_dir, capsys, command, softmax, labels, wrong, holds
+):
+    out, _ = sim_dir
+    model = tmp_path / "model.json"
+    good = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    assert _main(capsys, "calibrate", *good, "--out", str(model))[0] == 0
+    required = {
+        "calibrate": ["--out", str(tmp_path / "m.json")],
+        "evaluate": ["--model", str(model)],
+        "sweep": ["--targets", "0.5"],
+    }[command]
+    data = ["--softmax", str(out / f"{softmax}.sscg"), "--labels", str(out / f"{labels}.sscg")]
+    code, err = _main(capsys, command, *data, *required)
+    assert code == 3, err
+    assert f"{out / f'{wrong}.sscg'} holds a {holds}" in json.loads(err)["error"]
+
+
+def test_evaluate_csv_matches_its_json_cell_for_cell(tmp_path, sim_dir, capsys):
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    model = tmp_path / "model.json"
+    assert _main(capsys, "calibrate", *data, "--out", str(model))[0] == 0
+    paths = {"json": tmp_path / "metrics.json", "csv": tmp_path / "metrics.csv"}
+    argv = ["evaluate", "--model", str(model), *data]
+    assert main([*argv, "--out-json", str(paths["json"]), "--out-csv", str(paths["csv"])]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    doc = json.loads(paths["json"].read_text())
+    assert summary["report"] == doc
+    assert sorted(doc) == sorted([
+        "iou", "precision", "recall", "per_class_iou", "miou", "occupied_recall",
+        "cov_gap", "avg_size", "per_class_coverage",
+    ])
+    classes = ["2", "3", "4", "5"]
+    columns = ("per_class_iou", "per_class_coverage", "occupied_recall")
+    assert all(list(doc[key]) == classes for key in columns)
+    # the coverage and recall columns must be told apart by their values
+    assert any(doc["per_class_coverage"][y] != doc["occupied_recall"][y] for y in classes)
+
+    def cell(value):  # as the csv module writes it
+        return "" if value is None else str(value)
+
+    expected = [["row", "class", "iou", "coverage", "occupied_recall"]]
+    expected += [["class", y, *(cell(doc[key][y]) for key in columns)] for y in classes]
+    expected.append(["aggregate", "", *(cell(doc[k]) for k in ("iou", "cov_gap", "avg_size"))])
+    with open(paths["csv"], newline="") as fh:
+        assert list(csv.reader(fh)) == expected
 
 
 def test_threads_flag_output_invariant(tmp_path, sim_dir):
@@ -702,6 +778,20 @@ def test_deeply_nested_config_and_model_exit_with_a_message(tmp_path, sim_dir, c
     code, err = _main(capsys, "evaluate", "--model", str(deep), *data)
     assert code == 3, err
     assert str(deep) in json.loads(err)["error"]
+
+
+def test_config_or_model_that_is_not_an_object_names_its_file(tmp_path, sim_dir, capsys):
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1]")
+    argv = ["calibrate", "--config", str(listed), *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert code == 2, err
+    assert f"config {listed} must be a JSON object, got list" in json.loads(err)["error"]
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    code, err = _main(capsys, "evaluate", "--model", str(listed), *data)
+    assert code == 3, err
+    assert f"model {listed} must be a JSON object, got list" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize("pairs", [1, 2, 4])

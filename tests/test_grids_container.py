@@ -26,6 +26,7 @@ from sscuq.grids import (
     row_reduce,
 )
 from sscuq.conformal import CalibrationSet
+from sscuq.synth import ClassifierSpec
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,63 @@ def test_grids_are_immutable():
     grid = ProbOccupancyGrid(np.zeros((2, 2, 2), np.float32))
     with pytest.raises(ValueError):
         grid.values[0, 0, 0] = 1.0
+
+
+def _array_fields():
+    """name -> (type, its array fields as fresh C-contiguous arrays of their
+    documented dtypes, its other arguments)."""
+    depth = np.ones((2, 3))
+    return {
+        "ProbOccupancyGrid": (ProbOccupancyGrid, {"values": np.zeros((2, 2, 2), np.float32)}, {}),
+        "BinaryOccupancyGrid": (BinaryOccupancyGrid, {"values": np.ones((2, 2, 2), np.uint8)}, {}),
+        "SoftmaxGrid": (SoftmaxGrid, {"probs": np.full((2, 2, 2, 2), 0.5, np.float32)}, {}),
+        "LabelGrid": (LabelGrid, {"labels": np.full((2, 2, 2), 2, np.uint16)}, {"class_count": 3}),
+        "DepthEstimate": (
+            DepthEstimate,
+            {"mean": depth, "sigma": depth.copy(), "valid_mask": np.ones((2, 3), bool)},
+            {},
+        ),
+        "GroundTruthDepth": (
+            GroundTruthDepth, {"depth": depth, "valid_mask": np.ones((2, 3), bool)}, {}
+        ),
+        "GridGeometry": (
+            GridGeometry, {"origin": np.zeros(3)}, {"dims": (1, 1, 1), "voxel_edge": 1.0}
+        ),
+        "CalibrationSet-float32": (
+            CalibrationSet,
+            {"probs": np.full((3, 2), 0.5, np.float32), "labels": np.array([1, 2, 2], np.int64)},
+            {},
+        ),
+        "CalibrationSet-float64": (
+            CalibrationSet,
+            {"probs": np.full((3, 2), 0.5), "labels": np.array([1, 2, 2], np.int64)},
+            {},
+        ),
+        "ClassifierSpec": (
+            ClassifierSpec, {"confusion": np.eye(2), "sharpness": np.ones(2)}, {"temperature": 1.0}
+        ),
+    }
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("name", sorted(_array_fields()))
+def test_constructors_store_read_only_contiguous_arrays(name, contiguous):
+    cls, arrays, other = _array_fields()[name]
+    given = dict(arrays)
+    if not contiguous:  # the same values in a strided view
+        for field, a in arrays.items():
+            given[field] = np.empty(a.shape + (2,), a.dtype)[..., 0]
+            given[field][...] = a
+    obj = cls(**given, **other)
+    for field, a in given.items():
+        stored = getattr(obj, field)
+        assert stored.dtype == arrays[field].dtype
+        assert stored.flags.c_contiguous and not stored.flags.writeable
+        np.testing.assert_array_equal(stored, a)
+        if contiguous and cls is not LabelGrid:
+            assert stored is a  # frozen in place, not copied
+        else:
+            assert stored is not a and a.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,15 @@ def test_chunks_fold_in_order_whatever_finishes_first(n_rays, threads):
     assert folded == list(zip(bounds[:-1], bounds[1:]))
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_ray_casting_refuses_fewer_than_one_thread(threads):
+    intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
+    geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
+    ones, valid = np.ones((3, 3)), np.ones((3, 3), bool)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        build_prob_grid(DepthEstimate(ones, ones, valid), intr, geom, threads=threads)
+
+
 def test_builders_refuse_a_pixel_map_that_does_not_match_the_intrinsics():
     intr = CameraIntrinsics(f_u=10.0, f_v=10.0, c_h=1.0, c_w=1.0, height=3, width=3)
     geom = GridGeometry(dims=(4, 4, 4), voxel_edge=1.0, origin=(-2.0, -2.0, 0.0))
