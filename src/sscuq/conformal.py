@@ -30,8 +30,8 @@ import numpy as np
 
 from .container import read_json, write_json
 from .grids import (
-    LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_softmax_rows, decode, row_blocks,
-    row_reduce, set_fields,
+    LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_class_count, check_labels,
+    check_softmax_rows, check_softmax_shape, decode, row_blocks, row_reduce, set_fields,
 )
 
 __all__ = [
@@ -70,23 +70,13 @@ class DegeneracyWarning(UserWarning):
 # each column is converted before it is subtracted.
 
 
-def _check_softmax(f) -> np.ndarray:
-    """``f`` as an array of vectors (..., M), M >= 2; its values unchecked."""
-    f = np.asarray(f)
-    if f.ndim == 0 or f.shape[-1] < 2:
-        raise ValueError("softmax vectors need at least 2 classes")
-    return f
-
-
 def score_class(f, y):
     """Disagreement ``1 - f_y`` of each vector with class y, which is one class
     or one class per vector: ``score_class(probs, labels)`` scores each
     record against its own label.  Only the selected entries become float64."""
-    f = _check_softmax(f)
+    f = check_softmax_shape(f)
     y = np.asarray(y)
-    bad = y[(y < 1) | (y > f.shape[-1])]
-    if bad.size:
-        raise ValueError(f"class {bad.flat[0]} out of range 1..{f.shape[-1]}")
+    check_labels(y, f.shape[-1])
     if y.ndim == 0:
         column = f[..., int(y) - 1]
     else:
@@ -96,7 +86,7 @@ def score_class(f, y):
 
 def score_occupied(f):
     """Disagreement with "occupied": one minus the nonempty mass = f_1."""
-    return _check_softmax(f)[..., 0].astype(np.float64)
+    return check_softmax_shape(f)[..., 0].astype(np.float64)
 
 
 def score_kl(f, epsilon: float = 0.01):
@@ -109,7 +99,7 @@ def score_kl(f, epsilon: float = 0.01):
     ``scipy.special.xlogy(f, f)`` to within a few ulp.
     """
     _check_rate("epsilon", epsilon)
-    f = _check_softmax(f)
+    f = check_softmax_shape(f)
     rows = f.reshape(-1, f.shape[-1])
     out = np.empty(rows.shape[0])
     log_eps = math.log(epsilon)
@@ -193,18 +183,16 @@ class CalibrationSet:
     def __post_init__(self):
         # float32 rows (from_grids passes the container's) are kept as they
         # are: every score converts what it reads to float64
-        probs = np.asarray(self.probs)
+        probs, labels = np.asarray(self.probs), np.asarray(self.labels)
         if probs.dtype != np.float32:
             probs = probs.astype(np.float64, copy=False)
-        set_fields(self, probs=probs, labels=np.asarray(self.labels, dtype=np.int64))
-        probs, labels = self.probs, self.labels
         if probs.ndim != 2:
             raise ValidationError("probs must be (N, M)")
         check_softmax_rows(probs)
         if labels.shape != (probs.shape[0],):
             raise ValidationError("labels must be a vector matching probs rows")
-        if labels.size and (labels.min() < 1 or labels.max() > probs.shape[1]):
-            raise ValidationError("labels out of range")
+        check_labels(labels, probs.shape[1])  # before the int64 cast, which makes a NaN a number
+        set_fields(self, probs=probs, labels=labels.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -283,11 +271,10 @@ class _Model:
     class_count: int
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValidationError(f"class_count must be at least 2, got {self.class_count}")
+        check_class_count(self.class_count, 2)  # before any per-class map is built
 
     def _probs(self, probs) -> np.ndarray:
-        probs = _check_softmax(probs)
+        probs = check_softmax_shape(probs)
         if probs.shape[-1] != self.class_count:
             raise ValidationError(
                 f"vectors have {probs.shape[-1]} classes, model {self.class_count}"

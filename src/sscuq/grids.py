@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 SOFTMAX_SUM_TOL = 1e-5  # absorbs float32 serialization error
+_MAX_CLASS = 65535  # labels are stored as uint16
 _BLOCK_ROWS = 16384  # rows per block of the row kernels; no result depends on it
 
 
@@ -147,14 +148,20 @@ def row_blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
+def check_softmax_shape(f) -> np.ndarray:
+    """``f`` as an array of vectors (..., M), M >= 2; its values unchecked."""
+    f = np.asarray(f)
+    if f.ndim == 0 or f.shape[-1] < 2:
+        raise ValidationError("softmax vectors need at least 2 classes")
+    return f
+
+
 def check_softmax_rows(probs: np.ndarray) -> None:
     """Raise ValidationError unless the rows of ``probs`` (..., M) are
-    softmax vectors: M >= 2, no negative entry, and each row summing
-    (in float64) to 1 within ``SOFTMAX_SUM_TOL``.  A negative entry
-    anywhere is reported ahead of a bad row sum."""
-    if probs.shape[-1] < 2:
-        raise ValidationError("softmax vectors need at least 2 classes")
-    rows = probs.reshape(-1, probs.shape[-1])
+    softmax vectors: M >= 2 (``check_softmax_shape``), no negative entry,
+    and each row summing (in float64) to 1 within ``SOFTMAX_SUM_TOL``.  A
+    negative entry anywhere is reported ahead of a bad row sum."""
+    rows = check_softmax_shape(probs).reshape(-1, probs.shape[-1])
     bad_sum = False
     for block in row_blocks(rows.shape[0]):
         if np.any(rows[block] < 0):
@@ -163,6 +170,21 @@ def check_softmax_rows(probs: np.ndarray) -> None:
         bad_sum |= not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL)
     if bad_sum:
         raise ValidationError(f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}")
+
+
+def check_class_count(m: int, least: int) -> None:
+    """Raise ValidationError unless the class count ``m`` lies in ``least``..65535."""
+    if not least <= m <= _MAX_CLASS:
+        raise ValidationError(f"class_count must be at least {least} and at most 65535, got {m}")
+
+
+def check_labels(labels, class_count: int) -> None:
+    """Raise ValidationError naming the first of ``labels`` outside 1..``class_count`` (NaN too)."""
+    labels = np.asarray(labels)
+    # min and max make no mask: only a refusal looks for the first bad label
+    if labels.size and not (labels.min() >= 1 and labels.max() <= class_count):  # a NaN fails too
+        bad = labels[~((labels >= 1) & (labels <= class_count))]
+        raise ValidationError(f"class {bad.flat[0]} out of range 1..{class_count}")
 
 
 def set_fields(obj, **values) -> None:
@@ -365,16 +387,13 @@ class LabelGrid:
 
     def __post_init__(self):
         labels = np.asarray(self.labels)
-        low, high = (labels.min(), labels.max()) if labels.size else (1, 1)
-        if not (low >= 1 and high <= np.iinfo(np.uint16).max):  # a NaN fails too
+        if labels.size and not labels.max() <= _MAX_CLASS:  # a NaN fails too
             raise ValidationError("labels must fit in {1..65535}")
         # the copy also keeps the grid from freezing the caller's array
         set_fields(self, labels=labels.astype(np.uint16), class_count=int(self.class_count))
         _check_3d(self.labels)
-        if self.class_count < 1:
-            raise ValidationError("class_count must be at least 1")
-        if int(high) > self.class_count:  # the uint16 cast truncates, as int() does
-            raise ValidationError("labels must lie in {1..class_count}")
+        check_class_count(self.class_count, 1)
+        check_labels(labels, self.class_count)  # as given: a -1 is named, not its uint16 cast
 
     @property
     def dims(self) -> tuple[int, int, int]:

@@ -80,9 +80,7 @@ def semantic_miou_flat(pred_labels, gt_labels, class_count: int):
 
 def occupied_recall_flat(pred_occ, gt_labels, y: int, class_count: int) -> float | None:
     """Fraction of the class's voxels marked occupied; None if absent."""
-    if y == 1:
-        raise ValueError("the empty class has no occupied recall")
-    if not 2 <= y <= class_count:
+    if not 2 <= y <= class_count:  # the empty class 1 has no occupied recall
         raise ValueError(f"class {y} out of range 2..{class_count}")
     return geometry_metrics_from_masks(np.ravel(pred_occ), np.ravel(gt_labels) == y).recall
 

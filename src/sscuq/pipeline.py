@@ -31,9 +31,10 @@ from .conformal import (
     save_model,
     scp_calibrate,
 )
-from .container import _KIND_OF, atomic_write, read_grid, read_json, write_grid, write_json
+from .container import atomic_write, read_grid, read_header, read_json, write_grid, write_json
 from .grids import (
     CameraIntrinsics,
+    DepthEstimate,
     GridGeometry,
     GroundTruthDepth,
     Seed,
@@ -126,6 +127,11 @@ class PipelineConfig:
         a, b = self.noise_a, self.noise_b
         if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
             raise ConfigError("noise.a and noise.b must be finite and >= 0 with a positive sum")
+        # an omitted section's default counts too: it describes the 5-class scene
+        m = self.scene.class_count
+        for name, part in (("classifier", self.classifier), ("hcp", self.hcp)):
+            if part.class_count != m:
+                raise ConfigError(f"{name} has {part.class_count} classes, scene.class_count {m}")
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
@@ -133,10 +139,10 @@ class PipelineConfig:
         seed = _scalar(doc, "seed", Seed, 0)
         base = cls.default(seed)
 
-        def section(key, kind, defaults={}):
+        def section(key, kind, defaults={}, fixed={}):
             if key not in doc:
                 return getattr(base, key)
-            return decode(kind, doc[key], key, ConfigError, defaults)
+            return decode(kind, doc[key], key, ConfigError, defaults, fixed)
 
         geometry = section("geometry", GridGeometry)
         # the scene is always built on the top-level geometry
@@ -150,7 +156,8 @@ class PipelineConfig:
             intrinsics=section("intrinsics", CameraIntrinsics),
             scene=scene,
             classifier=section("classifier", ClassifierSpec, vars(base.classifier)),
-            hcp=section("hcp", HcpConfig, {"class_count": scene.class_count}),
+            # the class count is the scene's, as its geometry is the top-level one
+            hcp=section("hcp", HcpConfig, fixed={"class_count": scene.class_count}),
             noise_a=_scalar(noise, "a", float, base.noise_a, "noise"),
             noise_b=_scalar(noise, "b", float, base.noise_b, "noise"),
             split_fraction=_scalar(doc, "split_fraction", float, base.split_fraction),
@@ -228,23 +235,14 @@ def run_project(
     threads: int = 1,
 ) -> dict:
     """Build the probabilistic (default) or binary grid from a depth file."""
-    est = read_grid(depth_path)
-    kind = _KIND_OF[type(est)]
     if binary:
-        if kind not in ("depth_estimate", "depth"):
-            raise ValidationError(
-                f"{depth_path} holds a {kind} container; binary projection needs "
-                "depth_estimate or depth"
-            )
-        gt = GroundTruthDepth(est.mean, est.valid_mask) if kind == "depth_estimate" else est
-        grid = build_binary_grid(gt, cfg.intrinsics, cfg.geometry, threads=threads)
+        depth = _read(depth_path, "depth_estimate", "depth")
+        if isinstance(depth, DepthEstimate):
+            depth = GroundTruthDepth(depth.mean, depth.valid_mask)
+        grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = int(grid.values.sum())
     else:
-        if kind != "depth_estimate":
-            raise ValidationError(
-                f"{depth_path} holds a {kind} container; probabilistic projection needs "
-                "depth_estimate, with sigma; rerun with --binary for plain depths"
-            )
+        est = _read(depth_path, "depth_estimate")  # the probabilistic grid needs sigma
         grid = build_prob_grid(est, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = float(grid.values.sum())
     write_grid(grid, out_path, geometry=cfg.geometry)
@@ -256,12 +254,17 @@ def run_project(
     }
 
 
+def _read(path: str, *kinds: str):
+    """The grid in the container at ``path``; a container whose header names
+    none of ``kinds`` is refused before its payload is read."""
+    kind = read_header(path)["kind"]
+    if kind not in kinds:
+        raise ValidationError(f"{path} holds a {kind} container, not {' or '.join(kinds)}")
+    return read_grid(path)
+
+
 def _load_pair(softmax_path: str, labels_path: str):
-    pair = read_grid(softmax_path), read_grid(labels_path)
-    for path, grid, want in zip((softmax_path, labels_path), pair, ("softmax", "labels")):
-        kind = _KIND_OF[type(grid)]
-        if kind != want:
-            raise ValidationError(f"{path} holds a {kind} container, not {want}")
+    pair = _read(softmax_path, "softmax"), _read(labels_path, "labels")
     check_aligned(*pair)
     return pair
 

@@ -26,6 +26,8 @@ from .grids import (
     Seed,
     SoftmaxGrid,
     ValidationError,
+    check_class_count,
+    check_labels,
     row_reduce,
     set_fields,
 )
@@ -94,6 +96,7 @@ class SceneSpec:
     seed: Seed = 0
 
     def __post_init__(self):
+        check_class_count(self.class_count, 1)
         mix = {int(y): float(f) for y, f in dict(self.class_mix).items()}
         if any(y < 2 or y > self.class_count for y in mix):
             raise ValidationError("class_mix keys must be nonempty classes")
@@ -363,10 +366,9 @@ def classify_labels(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
     uses its own counters of the seed's streams), which is what the
     conformal coverage guarantees downstream assume.
     """
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     m = spec.class_count
-    if labels.size and (labels.min() < 1 or labels.max() > m):
-        raise ValueError(f"labels must lie in 1..{m}")
+    check_labels(labels, m)
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     n = labels.size
     rows = labels - 1
     u = rng.uniforms(rng.derive_seed(spec.seed, rng.TAG_TARGET), np.arange(n))

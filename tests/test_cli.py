@@ -715,6 +715,34 @@ def test_alpha_o_outside_the_rare_set_is_config_error(tmp_path, capsys):
     assert _apply_overrides(PipelineConfig.default(), args).hcp.alpha_o == {4: 0.2}
 
 
+def test_a_config_whose_classifier_does_not_match_the_scene_exits_before_simulating(
+    tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": {"class_count": 6}}))
+    out = tmp_path / "o"
+    code, err = _main(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 2, err
+    assert json.loads(err)["error"] == "classifier has 5 classes, scene.class_count 6"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--method", m] for m in ("scp", "cccp", "hcp")]
+                         + [["sweep"]])
+def test_a_six_class_config_without_hcp_names_the_hcp_default(tmp_path, sim_dir, capsys, argv):
+    # scp would run on the default section's 5-class rates, silently missing class 6
+    out, _ = sim_dir
+    confusion = np.full((6, 6), 0.02) + np.eye(6) * 0.88
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scene": {"class_count": 6}, "classifier": {
+        "confusion": confusion.tolist(), "sharpness": 3.0, "temperature": 1.5}}))
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    rest = ["--out", str(tmp_path / "m.json")] if argv[0] == "calibrate" else ["--targets", "0.5"]
+    code, err = _main(capsys, *argv, "--config", str(cfg), *data, *rest)
+    assert code == 2, err
+    assert json.loads(err)["error"] == "hcp has 5 classes, scene.class_count 6"
+
+
 def test_integral_float_in_integer_field_is_accepted():
     geometry = {"dims": [64.0, 64, 16], "voxel_edge": 0.2, "origin": [0, 0, 0]}
     cfg = PipelineConfig.from_json_dict({"seed": 2.0, "geometry": geometry})
@@ -748,9 +776,11 @@ def _assert_same(a, b, where="config"):
 def test_documented_config_schema_decodes_to_the_defaults():
     doc = _readme_config()
     _assert_same(PipelineConfig.from_json_dict(doc), PipelineConfig.default())
-    # the scene's geometry is the top-level one; keys outside the schema are ignored
+    # the scene's geometry is the top-level one and the HCP class count the
+    # scene's; keys outside the schema are ignored
     other = {"dims": [2, 2, 2], "voxel_edge": 1.0, "origin": [0, 0, 0]}
     doc["scene"]["geometry"] = other
+    doc["hcp"]["class_count"] = 9
     for section in (doc, doc["noise"], doc["geometry"], doc["intrinsics"], doc["scene"],
                     *doc["scene"]["templates"], doc["classifier"], doc["hcp"]):
         section["unknown"] = other
@@ -821,16 +851,61 @@ def test_geometry_alone_builds_the_scene_on_that_geometry(tmp_path, capsys):
 
 @pytest.mark.parametrize("binary", [[], ["--binary"]])
 def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(
-    tmp_path, sim_dir, capsys, binary
+    tmp_path, sim_dir, capsys, monkeypatch, binary
 ):
     out, _ = sim_dir
     grid = tmp_path / "grid.sscg"
     shutil.copyfile(out / "softmax.sscg", grid)
     out_path = tmp_path / "p.sscg"
+    # the header alone decides: the payload of a wrong-kind container is never read
+    monkeypatch.setattr("sscuq.pipeline.read_grid", lambda path: pytest.fail(f"read {path}"))
     code, err = _main(capsys, "project", *binary, "--depth", str(grid), "--out", str(out_path))
     assert code == 3, err
-    assert "softmax" in json.loads(err)["error"]
+    wanted = "depth_estimate or depth" if binary else "depth_estimate"
+    assert json.loads(err)["error"] == f"{grid} holds a softmax container, not {wanted}"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["evaluate --model", "calibrate --softmax", "calibrate --config", "calibrate --out"]
+)
+def test_a_directory_given_as_a_path_is_a_data_error(tmp_path, sim_dir, capsys, case):
+    out, _ = sim_dir
+    command, flag = case.split()
+    flags = {"--softmax": str(out / "softmax.sscg"), "--labels": str(out / "labels.sscg")}
+    flags["--model" if command == "evaluate" else "--out"] = str(tmp_path / "m.json")
+    flags[flag] = str(tmp_path)  # an existing directory
+    code, err = _main(capsys, command, *(item for pair in flags.items() for item in pair))
+    assert code == 3, err
+    error = json.loads(err)
+    assert error["exit"] == 3 and "Is a directory" in error["error"]
+
+
+def _limited_memory():
+    # about 2 GB of address space: a per-class map over 10**9 classes fails
+    # inside the child instead of exhausting the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_a_class_count_above_65535_is_refused_before_any_per_class_map(tmp_path, sim_dir):
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**_hcp_model_doc(), "class_count": 10**9}))
+    cfg = tmp_path / "cfg.json"
+    hcp = {**_HCP, "alpha_target": {"2": 0.1, "3": 0.1, "4": 0.1, "5": 0.4}}
+    cfg.write_text(json.dumps({"scene": {"class_count": 10**9}, "hcp": hcp}))
+    for argv, code, field in (
+        (["evaluate", "--model", str(model), *data], 3, "model: class_count"),
+        (["calibrate", "--config", str(cfg), *data, "--out", str(tmp_path / "m.json")], 2,
+         "scene: class_count"),
+    ):
+        r = subprocess.run([sys.executable, "-m", "sscuq", *argv], capture_output=True,
+                           text=True, preexec_fn=_limited_memory)
+        assert r.returncode == code, r.stderr
+        assert json.loads(r.stderr)["error"].startswith(f"{field} must be at least")
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from sscuq.grids import (
     ValidationError,
     row_reduce,
 )
-from sscuq.conformal import CalibrationSet
-from sscuq.synth import ClassifierSpec
+from sscuq.conformal import CalibrationSet, score_class
+from sscuq.synth import ClassifierSpec, classify_labels
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,28 @@ def test_label_grid_rejects_a_nan_label():
     # a NaN compares false with both range ends; cast to uint16 it became a label
     with pytest.raises(ValidationError, match="65535"):
         LabelGrid(np.array([[[np.nan, 2.0]]]), class_count=3)
+
+
+_LABEL_SITES = {
+    "LabelGrid": lambda labels: LabelGrid(labels.reshape(1, 1, -1), class_count=3),
+    "CalibrationSet": lambda labels: CalibrationSet(np.full((labels.size, 3), 1 / 3), labels),
+    "score_class": lambda labels: score_class(np.full((labels.size, 3), 1 / 3), labels),
+    "classify_labels": lambda labels: classify_labels(
+        labels, ClassifierSpec(confusion=np.eye(3), sharpness=3.0, temperature=1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_LABEL_SITES))
+@pytest.mark.parametrize("bad", [0, 4, float("nan")])
+def test_every_label_outside_1_to_m_gets_the_one_message(site, bad):
+    labels = np.array([2, 3, bad, 1])  # M = 3; a NaN makes the array float
+    want = f"class {labels[2]} out of range 1..3"
+    if site == "LabelGrid" and np.isnan(bad):
+        want = "labels must fit in {1..65535}"  # the uint16 storage rule comes first
+    with pytest.raises(ValidationError) as info:
+        _LABEL_SITES[site](labels)
+    assert str(info.value) == want
 
 
 def test_label_grid_does_not_freeze_the_callers_array():
