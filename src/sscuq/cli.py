@@ -15,8 +15,9 @@ import sys
 
 from .container import ContainerError
 from .grids import ValidationError
-from .metrics import check_targets
+from .metrics import GATE_SCORES, check_targets
 from .pipeline import (
+    CALIBRATORS,
     ConfigError,
     PipelineConfig,
     run_calibrate,
@@ -70,6 +71,10 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
     alpha_o = _parse_rate_pairs(getattr(args, "alpha_o", None), "--alpha-o")
     rare = getattr(args, "rare", None)
     epsilon = getattr(args, "epsilon", None)
+    method = getattr(args, "method", "hcp")
+    for flag, given in (("--rare", rare), ("--alpha-o", alpha_o), ("--epsilon", epsilon)):
+        if method != "hcp" and given not in (None, {}):
+            raise ConfigError(f"{flag} applies only to --method hcp, not {method}")
     if alpha_target or alpha_o or rare or epsilon is not None:
         hcp = cfg.hcp
         rare_set = frozenset(_parse_class_key(k) for k in rare.split(",")) if rare else hcp.rare_set
@@ -135,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strict(p)
     p.add_argument("--softmax", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--method", choices=("scp", "cccp", "hcp"), default="hcp")
+    p.add_argument("--method", choices=tuple(CALIBRATORS), default="hcp")
     p.add_argument("--out", required=True)
     p.add_argument("--split", type=float, help="calibration fraction (default 0.3)")
     p.add_argument(
@@ -166,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strict(p)
     p.add_argument("--softmax", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--score", choices=("kl", "class", "occupied"), default="kl")
+    p.add_argument("--score", choices=tuple(GATE_SCORES), default="kl")
     p.add_argument("--targets", required=True, help="comma-separated recalls in (0, 1)")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--split", type=float, help="calibration fraction (default 0.3)")

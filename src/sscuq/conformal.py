@@ -248,6 +248,7 @@ def _check_hcp(obj) -> frozenset[int]:
     """Check and normalize the rare set, epsilon and alpha_target of an
     HcpConfig or HcpModel; returns the rare set."""
     m = obj.class_count
+    check_class_count(m, 2)  # before any per-class map is built
     rare = frozenset(int(y) for y in obj.rare_set)
     if not rare:
         raise ValidationError("rare_set must be non-empty")

@@ -104,20 +104,25 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
 def atomic_write(path, data: bytes | str) -> None:
     """Write ``data`` (str as UTF-8) to a temporary file in the target
     directory, then rename it to ``path``: no partial file is ever visible,
-    and a failed write removes the temporary file.  The file gets the
-    permissions ``open`` would give it (0o666 less the umask)."""
+    and a failed write removes the temporary file and raises an OSError
+    that names ``path``.  The file gets the permissions ``open`` would give
+    it (0o666 less the umask)."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
+    tmp = None
     umask = os.umask(0)
     os.umask(umask)
     try:
+        fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the file the caller asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -183,18 +188,22 @@ def _read_header(fh) -> tuple[dict, int, int]:
     return header, start, size
 
 
-def read_grid(path):
+def read_grid(path, *kinds: str):
     """Read an SSCG container and return the validated grid object.
 
     Raises FormatError for a malformed header (see ``read_header``),
     TruncationError when the payload length disagrees with the header,
     and ValidationError when the decoded object would violate its type
-    invariants.  The payload is read straight into its array: no copy
-    of the file's bytes is held.
+    invariants.  When ``kinds`` are given, a container whose header names
+    none of them is refused with a ValidationError before its payload is
+    read.  The payload is read straight into its array: no copy of the
+    file's bytes is held.
     """
     with open(os.fspath(path), "rb") as fh:
         header, start, file_size = _read_header(fh)
         kind = header["kind"]
+        if kinds and kind not in kinds:
+            raise ValidationError(f"{path} holds a {kind} container, not {' or '.join(kinds)}")
         grid_type, dtype, planes = _KINDS[kind]
         shape = (len(planes), *header["dims"])
         if kind == "softmax":

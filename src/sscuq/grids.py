@@ -179,12 +179,17 @@ def check_class_count(m: int, least: int) -> None:
 
 
 def check_labels(labels, class_count: int) -> None:
-    """Raise ValidationError naming the first of ``labels`` outside 1..``class_count`` (NaN too)."""
+    """Raise ValidationError naming the first of ``labels`` outside 1..``class_count``
+    (NaN too), or else the first that is not an integer."""
     labels = np.asarray(labels)
     # min and max make no mask: only a refusal looks for the first bad label
     if labels.size and not (labels.min() >= 1 and labels.max() <= class_count):  # a NaN fails too
         bad = labels[~((labels >= 1) & (labels <= class_count))]
         raise ValidationError(f"class {bad.flat[0]} out of range 1..{class_count}")
+    if labels.dtype.kind not in "biu":  # an integer array holds no fraction
+        bad = labels[labels != np.trunc(labels)]
+        if bad.size:
+            raise ValidationError(f"class {bad.flat[0]} is not an integer")
 
 
 def set_fields(obj, **values) -> None:

@@ -26,6 +26,7 @@ from .conformal import (  # noqa: F401
 )
 
 __all__ = [
+    "GATE_SCORES",
     "GeometryMetrics",
     "SweepRow",
     "geometry_metrics_from_masks",
@@ -132,6 +133,16 @@ def avg_size(member: np.ndarray) -> float:
     return float(member[:, 1:].sum(axis=1).mean())
 
 
+# gate score name -> score(vectors, rare class or classes, HcpConfig); low
+# scores look occupied.  Each entry looks its score up by name when called,
+# so a wrapper installed on this module's name sees the call.
+GATE_SCORES = {
+    "kl": lambda f, y, cfg: score_kl(f, cfg.epsilon),
+    "class": lambda f, y, cfg: score_class(f, y),
+    "occupied": lambda f, y, cfg: score_occupied(f),
+}
+
+
 class SweepRow(NamedTuple):
     target_recall: float
     achieved_recall: float | None
@@ -160,13 +171,13 @@ def recall_iou_sweep(
     """Geometric-gate trade-off table across occupied-recall targets.
 
     For each target recall r, the gate is calibrated at error rate 1 - r
-    with the chosen score function (``kl``, ``class``, or ``occupied``)
+    with the chosen score function (a key of ``GATE_SCORES``)
     on the rare classes' calibration records, then scored on the
     evaluation rows ``probs`` (N, M) with true ``labels`` (N,): achieved
     occupied recall of the rare class (minimum over the rare set when it
     has several members) and occupancy IoU.
     """
-    if score_kind not in ("kl", "class", "occupied"):
+    if score_kind not in GATE_SCORES:
         raise ValueError(f"unknown score kind {score_kind!r}")
     targets = check_targets(targets)
     if probs.shape[-1] != cfg.class_count or cal.class_count != cfg.class_count:
@@ -174,20 +185,16 @@ def recall_iou_sweep(
 
     gt_occ = labels >= 2
     rare = sorted(cfg.rare_set)
-    score = {
-        "kl": lambda f, y: score_kl(f, cfg.epsilon),
-        "class": score_class,
-        "occupied": lambda f, y: score_occupied(f),
-    }[score_kind]
+    score = GATE_SCORES[score_kind]
 
     # no score depends on the target: score the rare classes' calibration
-    # records and the evaluation rows once
-    in_rare = np.zeros(cal.n, dtype=bool)
-    for y in rare:
-        in_rare |= cal.labels == y
+    # records and the evaluation rows once.  With kind="sort", isin compares
+    # a few classes one at a time; its default table method builds more
+    # arrays per record, and this runs at the sweep's peak memory
+    in_rare = np.isin(cal.labels, rare, kind="sort")
     cal_labels = cal.labels[in_rare]
-    cal_scores = score(cal.probs[in_rare], cal_labels)
-    scores = {y: score(probs, y) for y in rare}
+    cal_scores = score(cal.probs[in_rare], cal_labels, cfg)
+    scores = {y: score(probs, y, cfg) for y in rare}
     rows = []
     for target in targets:
         q = class_quantiles(cal_scores, cal_labels, dict.fromkeys(rare, 1.0 - target))

@@ -31,14 +31,13 @@ from .conformal import (
     save_model,
     scp_calibrate,
 )
-from .container import atomic_write, read_grid, read_header, read_json, write_grid, write_json
+from .container import atomic_write, read_grid, read_json, write_grid, write_json
 from .grids import (
     CameraIntrinsics,
     DepthEstimate,
     GridGeometry,
     GroundTruthDepth,
     Seed,
-    ValidationError,
     check_aligned,
     decode,
 )
@@ -65,6 +64,7 @@ from .synth import (
 )
 
 __all__ = [
+    "CALIBRATORS",
     "ConfigError",
     "PipelineConfig",
     "split_mask",
@@ -236,13 +236,13 @@ def run_project(
 ) -> dict:
     """Build the probabilistic (default) or binary grid from a depth file."""
     if binary:
-        depth = _read(depth_path, "depth_estimate", "depth")
+        depth = read_grid(depth_path, "depth_estimate", "depth")
         if isinstance(depth, DepthEstimate):
             depth = GroundTruthDepth(depth.mean, depth.valid_mask)
         grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = int(grid.values.sum())
     else:
-        est = _read(depth_path, "depth_estimate")  # the probabilistic grid needs sigma
+        est = read_grid(depth_path, "depth_estimate")  # the probabilistic grid needs sigma
         grid = build_prob_grid(est, cfg.intrinsics, cfg.geometry, threads=threads)
         occupancy = float(grid.values.sum())
     write_grid(grid, out_path, geometry=cfg.geometry)
@@ -254,17 +254,8 @@ def run_project(
     }
 
 
-def _read(path: str, *kinds: str):
-    """The grid in the container at ``path``; a container whose header names
-    none of ``kinds`` is refused before its payload is read."""
-    kind = read_header(path)["kind"]
-    if kind not in kinds:
-        raise ValidationError(f"{path} holds a {kind} container, not {' or '.join(kinds)}")
-    return read_grid(path)
-
-
 def _load_pair(softmax_path: str, labels_path: str):
-    pair = _read(softmax_path, "softmax"), _read(labels_path, "labels")
+    pair = read_grid(softmax_path, "softmax"), read_grid(labels_path, "labels")
     check_aligned(*pair)
     return pair
 
@@ -280,6 +271,17 @@ def _degeneracies():
     notes += [str(w.message) for w in caught if issubclass(w.category, DegeneracyWarning)]
 
 
+# method -> calibration of a CalibrationSet at the config's rates.  SCP has
+# one marginal rate, the strictest class target; CCCP also calibrates the
+# empty class, at 0.1.  Each entry looks its calibrator up by name when
+# called, so a wrapper installed on this module's name sees the call.
+CALIBRATORS = {
+    "scp": lambda cal, hcp: scp_calibrate(cal, min(hcp.alpha_target.values())),
+    "cccp": lambda cal, hcp: cccp_calibrate(cal, {1: 0.1, **hcp.alpha_target}),
+    "hcp": lambda cal, hcp: hcp_calibrate(cal, hcp),
+}
+
+
 def run_calibrate(
     softmax_path: str,
     labels_path: str,
@@ -287,21 +289,15 @@ def run_calibrate(
     method: str,
     out_path: str,
 ) -> dict:
-    """Calibrate scp/cccp/hcp on the calibration split and write model JSON."""
-    if method not in ("scp", "cccp", "hcp"):
-        raise ConfigError(f"method must be scp, cccp, or hcp, got {method!r}")
+    """Calibrate ``method`` (a key of ``CALIBRATORS``) on the calibration
+    split and write model JSON."""
+    calibrate = CALIBRATORS[method]
     softmax, labels = _load_pair(softmax_path, labels_path)
     mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
     cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
 
     with _degeneracies() as notes:
-        if method == "scp":
-            alphas = set(cfg.hcp.alpha_target.values())
-            model = scp_calibrate(cal, alphas.pop() if len(alphas) == 1 else 0.1)
-        elif method == "cccp":
-            model = cccp_calibrate(cal, {1: 0.1, **cfg.hcp.alpha_target})
-        else:
-            model = hcp_calibrate(cal, cfg.hcp)
+        model = calibrate(cal, cfg.hcp)
 
     save_model(
         model,

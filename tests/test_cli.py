@@ -1,9 +1,9 @@
+import argparse
 import copy
 import csv
 import dataclasses
 import json
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sscuq.cli import _apply_overrides, build_parser, main
-from sscuq.conformal import load_model
+from sscuq.conformal import _MODEL_TYPES, load_model
 from sscuq.container import read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
-from sscuq.pipeline import PipelineConfig
+from sscuq.metrics import GATE_SCORES
+from sscuq.pipeline import CALIBRATORS, PipelineConfig, run_calibrate
 
 
 def run_cli(*args):
@@ -849,16 +850,20 @@ def test_geometry_alone_builds_the_scene_on_that_geometry(tmp_path, capsys):
         assert (alone / name).read_bytes() == (scene / name).read_bytes()
 
 
+def _truncated_copy(src: Path, dst: Path) -> Path:
+    """``src`` cut 10 bytes into its payload: reading the payload fails."""
+    data = src.read_bytes()
+    dst.write_bytes(data[: 16 + int.from_bytes(data[8:16], "little") + 10])
+    return dst
+
+
 @pytest.mark.parametrize("binary", [[], ["--binary"]])
-def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(
-    tmp_path, sim_dir, capsys, monkeypatch, binary
-):
+def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(tmp_path, sim_dir, capsys, binary):
     out, _ = sim_dir
-    grid = tmp_path / "grid.sscg"
-    shutil.copyfile(out / "softmax.sscg", grid)
+    # the header alone decides: a truncated payload would raise TruncationError
+    # if the payload of a wrong-kind container were read
+    grid = _truncated_copy(out / "softmax.sscg", tmp_path / "grid.sscg")
     out_path = tmp_path / "p.sscg"
-    # the header alone decides: the payload of a wrong-kind container is never read
-    monkeypatch.setattr("sscuq.pipeline.read_grid", lambda path: pytest.fail(f"read {path}"))
     code, err = _main(capsys, "project", *binary, "--depth", str(grid), "--out", str(out_path))
     assert code == 3, err
     wanted = "depth_estimate or depth" if binary else "depth_estimate"
@@ -879,6 +884,50 @@ def test_a_directory_given_as_a_path_is_a_data_error(tmp_path, sim_dir, capsys, 
     assert code == 3, err
     error = json.loads(err)
     assert error["exit"] == 3 and "Is a directory" in error["error"]
+    # the path is the one given, not the temporary file of a write, and
+    # a failed write leaves no temporary file behind
+    assert error["error"] == f"[Errno 21] Is a directory: '{tmp_path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+_HCP_ONLY = {"--rare": "5", "--alpha-o": "person=0.2", "--epsilon": "0.5"}
+
+
+@pytest.mark.parametrize("method", ["scp", "cccp"])
+@pytest.mark.parametrize("flag", sorted(_HCP_ONLY))
+def test_an_hcp_only_flag_with_another_method_is_config_error(tmp_path, capsys, method, flag):
+    argv = ["calibrate", "--method", method, flag, _HCP_ONLY[flag]]
+    code, err = _main(capsys, *argv, *_required("calibrate", tmp_path))
+    assert code == 2, err
+    assert json.loads(err)["error"] == f"{flag} applies only to --method hcp, not {method}"
+    assert not (tmp_path / "m").exists()
+
+
+def _choices(command: str, dest: str):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_method_and_score_choices_are_the_tables_keys():
+    assert list(_choices("calibrate", "method")) == list(CALIBRATORS)
+    assert list(_choices("sweep", "score")) == list(GATE_SCORES)
+    # every method the CLI calibrates, the model codec writes and reads back
+    assert CALIBRATORS.keys() == _MODEL_TYPES.keys()
+    with pytest.raises(KeyError):  # before any file is read
+        run_calibrate("missing.sscg", "missing.sscg", PipelineConfig.default(), "bogus", "m.json")
+
+
+def test_scp_calibrates_at_the_strictest_class_target(tmp_path, sim_dir, capsys):
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    rates = ["--alpha-target", "2=0.2"]
+    for y in (3, 4, 5):
+        rates += ["--alpha-target", f"{y}=0.3"]
+    for name, flags, alpha in (("mixed", rates, 0.2), ("default", [], 0.1)):
+        model = tmp_path / f"{name}.json"
+        code, err = _main(capsys, "calibrate", "--method", "scp", *data, *flags, "--out", str(model))
+        assert code == 0, err
+        assert json.loads(model.read_text())["alpha"] == alpha
 
 
 def _limited_memory():

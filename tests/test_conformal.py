@@ -367,6 +367,32 @@ def test_hcp_config_validation():
         )
 
 
+def _limited_memory():
+    # about 2 GB of address space: a per-class map over 10**9 classes fails
+    # inside the child instead of exhausting the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_hcp_config_refuses_a_huge_class_count_before_any_per_class_map():
+    import subprocess
+    import sys
+
+    code = (
+        "from sscuq.conformal import HcpConfig\n"
+        "HcpConfig(class_count=10**9, rare_set=frozenset({5}), alpha_o={5: 0.3},"
+        " alpha_target={2: 0.1})"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       preexec_fn=_limited_memory)
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[-1] == (
+        "sscuq.grids.ValidationError: class_count must be at least 2 and at most 65535, "
+        "got 1000000000"
+    )
+
+
 def test_hcp_one_hot_nonempty_records():
     # confident correct nonempty classifier: all rare scores 0, gate passes all
     m = 4

@@ -186,6 +186,14 @@ def test_every_label_outside_1_to_m_gets_the_one_message(site, bad):
     assert str(info.value) == want
 
 
+@pytest.mark.parametrize("site", sorted(_LABEL_SITES))
+def test_a_label_that_is_no_integer_is_named(site):
+    labels = np.array([2, 3, 2.5, 1])  # M = 3: every label is in range
+    with pytest.raises(ValidationError) as info:
+        _LABEL_SITES[site](labels)
+    assert str(info.value) == "class 2.5 is not an integer"
+
+
 def test_label_grid_does_not_freeze_the_callers_array():
     labels = np.full((1, 2, 2), 2, dtype=np.uint16)
     grid = LabelGrid(labels, class_count=3)
@@ -375,6 +383,24 @@ def test_payload_length_mismatch_is_truncation_error(tmp_path):
         read_grid(path)
 
 
+def test_a_kind_outside_the_wanted_ones_is_refused_before_the_payload(tmp_path, monkeypatch):
+    import builtins
+
+    path = tmp_path / "g.sscg"
+    write_grid(ProbOccupancyGrid(np.zeros((2, 2, 2), np.float32)), path)
+    path.write_bytes(path.read_bytes()[:-4])  # a payload read would fail
+    opened = []
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: opened.append(a[0]) or real_open(*a, **k))
+    for kinds, want in ((("labels",), "labels"), (("depth_estimate", "depth"), "depth_estimate or depth")):
+        with pytest.raises(ValidationError) as info:
+            read_grid(path, *kinds)
+        assert str(info.value) == f"{path} holds a prob_occupancy container, not {want}"
+    with pytest.raises(TruncationError):
+        read_grid(path, "prob_occupancy")
+    assert opened == [str(path)] * 3  # one open per read
+
+
 def test_write_is_deterministic(tmp_path):
     grid = SoftmaxGrid(np.full((2, 1, 1, 4), 0.25, np.float32))
     a, b = tmp_path / "a.sscg", tmp_path / "b.sscg"
@@ -509,6 +535,15 @@ def test_failed_rename_leaves_target_and_no_temp_file(tmp_path, monkeypatch, wri
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out"])
     if old is not None:
         assert target.read_bytes() == old
+
+
+def test_a_write_into_a_missing_directory_names_the_target(tmp_path):
+    from sscuq.container import atomic_write
+
+    target = tmp_path / "missing" / "out"
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write(target, b"x")
+    assert str(info.value) == f"[Errno 2] No such file or directory: '{target}'"
 
 
 def test_atomic_write_gives_open_permissions(tmp_path):

@@ -1,9 +1,10 @@
 """Allocation bounds of the container reader and the row kernels.
 
 ``tracemalloc`` sees numpy's array buffers, so these bounds count bytes,
-not time: reading a container allocates its payload once, and a row
-kernel allocates its outputs plus a few blocks of float64 rows, never a
-float64 copy of its whole input.
+not time: reading a container allocates its payload once, a row kernel
+allocates its outputs plus a few blocks of float64 rows, never a float64
+copy of its whole input, and checking valid integer labels allocates no
+mask.
 """
 
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 
 from sscuq.conformal import HcpModel, score_kl
 from sscuq.container import read_grid, write_grid
-from sscuq.grids import _BLOCK_ROWS, SoftmaxGrid
+from sscuq.grids import _BLOCK_ROWS, SoftmaxGrid, check_labels
 
 M = 5
 MB = 1 << 20
@@ -70,3 +71,10 @@ def test_hcp_predict_allocates_its_outputs_and_a_few_blocks(rows):
     (occ, member), peak = _peak_allocation(model.predict, rows)
     gate_scores = rows.shape[0] * 8  # score_kl's float64 output, one per row
     assert peak <= occ.nbytes + member.nbytes + gate_scores + 4 * BLOCK, peak
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+def test_check_labels_of_valid_integer_labels_builds_no_mask(dtype):
+    labels = np.full(1_000_000, 2, dtype=dtype)  # a mask alone would be 1 MB
+    _, peak = _peak_allocation(check_labels, labels, 5)
+    assert peak < 64 << 10, peak
