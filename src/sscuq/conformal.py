@@ -31,7 +31,7 @@ import numpy as np
 from .container import read_json, write_json
 from .grids import (
     LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_class_count, check_labels,
-    check_softmax_rows, check_softmax_shape, decode, row_blocks, row_reduce, set_fields,
+    check_softmax_rows, check_softmax_shape, decode, encode, row_blocks, row_reduce, set_fields,
 )
 
 __all__ = [
@@ -117,17 +117,25 @@ def score_kl(f, epsilon: float = 0.01):
 # rates and the quantile rule
 
 
-def _check_rate(name: str, a: float, bounds: str = "(0, 1)") -> None:
-    """Raise a ValidationError naming ``name`` unless ``a`` lies in
-    ``bounds``, "(0, 1)" or "[0, 1]"."""
-    if not (0.0 < a < 1.0 if bounds == "(0, 1)" else 0.0 <= a <= 1.0):
-        raise ValidationError(f"{name} must be in {bounds}, got {a}")
+# what a rate or quantile must be -> the test it passes; each test fails a NaN
+_BOUNDS = {
+    "in (0, 1)": lambda a: 0.0 < a < 1.0,
+    "in [0, 1]": lambda a: 0.0 <= a <= 1.0,
+    "a number or +inf": lambda a: -math.inf < a,  # a quantile, as calibrators write it
+}
 
 
-def _class_map(name: str, values: Mapping, classes, bounds: str | None = "(0, 1)") -> dict:
+def _check_rate(name: str, a: float, bounds: str = "in (0, 1)") -> None:
+    """Raise a ValidationError naming ``name`` unless ``a`` is ``bounds``,
+    a key of ``_BOUNDS``."""
+    if not _BOUNDS[bounds](a):
+        raise ValidationError(f"{name} must be {bounds}, got {a}")
+
+
+def _class_map(name: str, values: Mapping, classes, bounds: str = "in (0, 1)") -> dict:
     """``values`` as ``{int: float}`` once its keys are exactly ``classes``
-    (a range, shown as "a..b", or a set) and, unless ``bounds`` is None,
-    each value passes ``_check_rate``."""
+    (a range, shown as "a..b", or a set) and each value passes
+    ``_check_rate`` with ``bounds``."""
     out, want = {int(y): float(v) for y, v in values.items()}, set(classes)
     if out.keys() != want:
         shown = f"{classes[0]}..{classes[-1]}" if isinstance(classes, range) else sorted(want)
@@ -135,9 +143,8 @@ def _class_map(name: str, values: Mapping, classes, bounds: str | None = "(0, 1)
             f"{name} must cover exactly classes {shown}, got extra "
             f"{sorted(out.keys() - want)}, missing {sorted(want - out.keys())}"
         )
-    if bounds is not None:
-        for y, a in out.items():
-            _check_rate(f"{name}[{y}]", a, bounds)
+    for y, a in out.items():
+        _check_rate(f"{name}[{y}]", a, bounds)
     return out
 
 
@@ -238,10 +245,10 @@ def class_quantiles(scores, labels, alpha: Mapping[int, float]) -> dict[int, flo
 # ---------------------------------------------------------------------------
 # calibrated models
 #
-# A model's dataclass fields are its whole persistent state: save_model and
-# load_model derive the JSON document from the field annotations.  Each model
-# checks its fields as HcpConfig does, so a model file that no calibrator
-# could have written is refused when it is loaded.
+# A model's dataclass fields are its whole persistent state: save_model
+# writes grids.encode of them, and load_model decodes them by their
+# annotations.  Each model checks its fields as HcpConfig does, so a model
+# file that no calibrator could have written is refused when it is loaded.
 
 
 def _check_hcp(obj) -> frozenset[int]:
@@ -310,6 +317,7 @@ class ScpModel(_Model):
     def __post_init__(self):
         super().__post_init__()
         _check_rate("alpha", self.alpha)
+        _check_rate("q", self.q, "a number or +inf")
 
     def _quantiles(self):
         return self.q
@@ -330,7 +338,7 @@ class CccpModel(_Model):
         super().__post_init__()
         classes = range(1, self.class_count + 1)
         set_fields(self, alpha=_class_map("alpha", self.alpha, classes),
-                   q=_class_map("q", self.q, classes, None))
+                   q=_class_map("q", self.q, classes, "a number or +inf"))
 
     def _quantiles(self):
         return _quantile_row(self.q, self.class_count)
@@ -357,10 +365,10 @@ class HcpModel(_Model):
         rare, nonempty = _check_hcp(self), range(2, self.class_count + 1)
         set_fields(
             self,
-            q_o=_class_map("q_o", self.q_o, rare, None),
-            alpha_o=_class_map("alpha_o", self.alpha_o, nonempty, "[0, 1]"),
-            alpha_s=_class_map("alpha_s", self.alpha_s, nonempty, "[0, 1]"),
-            q_s=_class_map("q_s", self.q_s, nonempty, None),
+            q_o=_class_map("q_o", self.q_o, rare, "a number or +inf"),
+            alpha_o=_class_map("alpha_o", self.alpha_o, nonempty, "in [0, 1]"),
+            alpha_s=_class_map("alpha_s", self.alpha_s, nonempty, "in [0, 1]"),
+            q_s=_class_map("q_s", self.q_s, nonempty, "a number or +inf"),
         )
 
     @property
@@ -493,26 +501,9 @@ def hcp_predict_batch(probs: np.ndarray, model: HcpModel):
 
 
 # ---------------------------------------------------------------------------
-# JSON persistence: one codec for every model, driven by its field annotations
+# JSON persistence: every model is the object grids.encode makes of its fields
 
 
-def _encode_value(v: float):
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return v
-
-
-def _encode_rates(d: Mapping[int, float]) -> dict:
-    return {str(y): _encode_value(v) for y, v in sorted(d.items())}
-
-
-# field annotation (a string under postponed evaluation) -> JSON encoder
-_ENCODERS = {
-    "int": int,
-    "float": _encode_value,
-    "frozenset[int]": sorted,
-    "Mapping[int, float]": _encode_rates,
-}
 _MODEL_TYPES = {"hcp": HcpModel, "scp": ScpModel, "cccp": CccpModel}
 _METHODS = {cls: method for method, cls in _MODEL_TYPES.items()}
 
@@ -522,11 +513,7 @@ def save_model(model, path, extra: dict | None = None) -> None:
 
     ``extra`` keys are merged into the document; the write is atomic.
     """
-    doc = {"method": _METHODS[type(model)]}
-    for f in fields(model):
-        doc[f.name] = _ENCODERS[f.type](getattr(model, f.name))
-    doc.update(extra or {})
-    write_json(path, doc)
+    write_json(path, {"method": _METHODS[type(model)], **encode(model), **(extra or {})})
 
 
 def load_model(path, extra: dict | None = None):

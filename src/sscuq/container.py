@@ -151,63 +151,57 @@ def _positive_int(value) -> bool:
     return type(value) is int and value >= 1
 
 
-def _read_header(fh) -> tuple[dict, int, int]:
-    """The validated JSON header of the container open as ``fh``, the
-    offset of its payload and the file's size; ``fh`` is left at the
-    payload.  Raises as ``read_header`` describes."""
-    size = os.fstat(fh.fileno()).st_size
-    prefix = fh.read(16)
-    if len(prefix) < 16 or prefix[:4] != MAGIC:
-        raise FormatError("not an SSCG container (bad magic)")
-    version = int.from_bytes(prefix[4:8], "little")
-    if version != VERSION:
-        raise FormatError(f"unsupported SSCG version {version}")
-    start = 16 + int.from_bytes(prefix[8:16], "little")
-    if size < start:
-        raise TruncationError("header extends past end of file")
-    try:
-        header = json.loads(fh.read(start - 16).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-        raise FormatError(f"malformed JSON header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"JSON header must be an object, got {type(header).__name__}")
-    kind = header.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise FormatError(f"unknown container kind {kind!r}")
-    dtype = _KINDS[kind][1].name
-    if header.get("dtype") != dtype:
-        raise FormatError(f"{kind} payload must be {dtype}, header says {header.get('dtype')!r}")
-    dims = header.get("dims")
-    if not isinstance(dims, list) or not all(_positive_int(n) for n in dims):
-        raise FormatError(f"header dims must be a list of positive integers, got {dims!r}")
-    if kind in _COUNTED and not _positive_int(header.get("class_count")):
-        raise FormatError(
-            f"{kind} header class_count must be a positive integer, "
-            f"got {header.get('class_count')!r}"
-        )
-    return header, start, size
-
-
 def read_grid(path, *kinds: str):
     """Read an SSCG container and return the validated grid object.
 
-    Raises FormatError for a malformed header (see ``read_header``),
-    TruncationError when the payload length disagrees with the header,
-    and ValidationError when the decoded object would violate its type
-    invariants.  When ``kinds`` are given, a container whose header names
-    none of them is refused with a ValidationError before its payload is
-    read.  The payload is read straight into its array: no copy of the
-    file's bytes is held.
+    Raises FormatError for bad magic or version, a header that is not a
+    JSON object, an unknown kind, a dtype that is not the kind's, or
+    missing or non-integer dims or class_count (softmax and labels);
+    TruncationError when the header runs past the end of the file or the
+    payload length disagrees with the header; and ValidationError when
+    the decoded object would violate its type invariants.  When ``kinds``
+    are given, a container whose header names none of them is refused
+    with a ValidationError before its payload is read.  The payload is
+    read straight into its array: no copy of the file's bytes is held.
     """
     with open(os.fspath(path), "rb") as fh:
-        header, start, file_size = _read_header(fh)
-        kind = header["kind"]
+        file_size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(16)
+        if len(prefix) < 16 or prefix[:4] != MAGIC:
+            raise FormatError("not an SSCG container (bad magic)")
+        version = int.from_bytes(prefix[4:8], "little")
+        if version != VERSION:
+            raise FormatError(f"unsupported SSCG version {version}")
+        start = 16 + int.from_bytes(prefix[8:16], "little")
+        if file_size < start:
+            raise TruncationError("header extends past end of file")
+        try:
+            header = json.loads(fh.read(start - 16).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise FormatError(f"malformed JSON header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"JSON header must be an object, got {type(header).__name__}")
+        kind = header.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise FormatError(f"unknown container kind {kind!r}")
+        grid_type, dtype, planes = _KINDS[kind]
+        if header.get("dtype") != dtype.name:
+            raise FormatError(
+                f"{kind} payload must be {dtype.name}, header says {header.get('dtype')!r}"
+            )
+        dims = header.get("dims")
+        if not isinstance(dims, list) or not all(_positive_int(n) for n in dims):
+            raise FormatError(f"header dims must be a list of positive integers, got {dims!r}")
+        count = header.get("class_count")
+        if kind in _COUNTED and not _positive_int(count):
+            raise FormatError(
+                f"{kind} header class_count must be a positive integer, got {count!r}"
+            )
         if kinds and kind not in kinds:
             raise ValidationError(f"{path} holds a {kind} container, not {' or '.join(kinds)}")
-        grid_type, dtype, planes = _KINDS[kind]
-        shape = (len(planes), *header["dims"])
+        shape = (len(planes), *dims)
         if kind == "softmax":
-            shape += (header["class_count"],)
+            shape += (count,)
         size = math.prod(shape) * dtype.itemsize
         if file_size - start != size:
             raise TruncationError(f"payload of {file_size - start} bytes, header implies {size}")
@@ -217,17 +211,5 @@ def read_grid(path, *kinds: str):
             raise TruncationError(f"payload of {got} bytes, header implies {size}")
     fields = dict(zip(planes, arr))
     if kind == "labels":
-        fields["class_count"] = header["class_count"]
+        fields["class_count"] = count
     return grid_type(**fields)
-
-
-def read_header(path) -> dict:
-    """Read and validate the JSON header of an SSCG container.
-
-    Raises FormatError for bad magic or version, a header that is not a
-    JSON object, an unknown kind, a dtype that is not the kind's, or
-    missing or non-integer dims or class_count (softmax and labels), and
-    TruncationError when the header runs past the end of the file.
-    """
-    with open(os.fspath(path), "rb") as fh:
-        return _read_header(fh)[0]

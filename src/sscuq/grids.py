@@ -11,6 +11,8 @@ labels are 1-based throughout the package; class 1 is the empty class.
 from __future__ import annotations
 
 import dataclasses
+import math
+import reprlib
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NewType, get_args, get_origin, get_type_hints
@@ -21,6 +23,7 @@ __all__ = [
     "ValidationError",
     "Seed",
     "decode",
+    "encode",
     "CameraIntrinsics",
     "GridGeometry",
     "DepthEstimate",
@@ -49,28 +52,38 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
     """Decode the JSON value ``doc`` as ``cls``, by annotations.
 
     ``cls`` is a dataclass, built from the JSON object ``doc`` by the
-    type hint of each field, or one such hint: ``int`` (a fraction is
-    refused), ``Seed``, ``float`` (``"inf"``/``"-inf"`` included),
-    ``str``, ``np.ndarray`` (float64), fixed and ``...`` tuples,
-    ``frozenset`` and ``Mapping`` of these, and nested dataclasses (the
-    items of a tuple of them are named ``where.field[i]``).  Keys that
-    are not fields are ignored.
+    type hint of each field, or one such hint.  Each hint reads the form
+    ``encode`` writes:
+
+    * ``int`` and ``Seed`` (in [0, 2**64)): an integer, or a float with
+      no fraction; not a bool or a string;
+    * ``float``: a number that is not a bool or NaN, or ``"inf"`` or
+      ``"-inf"``;
+    * ``str``: a string;
+    * ``np.ndarray`` (float64): a number, or nested arrays of numbers;
+    * fixed and ``...`` tuples and ``frozenset``: an array of items;
+    * ``Mapping[int, ...]``: an object whose keys are spelled as ``str``
+      spells an int (``"5"``, not ``"05"``);
+    * nested dataclasses: an object (the items of a tuple of them are
+      named ``where.field[i]``).
+
+    Keys that are not fields are ignored.
 
     A field named in ``fixed`` takes that value and is never read from
     ``doc``.  A field missing from ``doc`` is filled from ``defaults``,
     then from the field's own default; failing both it is an error.
 
     Every error is raised as ``error`` naming what failed: "where.field
-    is missing", "where.field is malformed: ..." for a value of the
-    wrong form, and "where: ..." for a ValidationError of the
-    constructor.
+    is missing", "where.field is malformed: <value> is not <form>" for a
+    value of the wrong form, and "where: ..." for a ValidationError of
+    the constructor.
     """
     if not dataclasses.is_dataclass(cls):
         try:
             return _value(cls, doc, where, error)
         except error:  # a nested dataclass's error names its own field
             raise
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise error(f"{where} is malformed: {exc}") from None
     if not isinstance(doc, Mapping):
         raise error(f"{where} must be an object, got {type(doc).__name__}")
@@ -92,21 +105,50 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
         raise error(f"{where}: {exc}") from None
 
 
+def encode(value):
+    """The JSON value that ``decode`` reads back as ``value``: a dataclass
+    becomes an object of its fields, a Mapping an object keyed by
+    ``str(key)`` in key order, a frozenset a sorted list, a tuple or array
+    a list, a numpy scalar its Python value, and +-inf "inf" or "-inf"."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {str(k): encode(v) for k, v in sorted(value.items())}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return encode(value.tolist())
+    if isinstance(value, (frozenset, tuple, list)):
+        return [encode(x) for x in (sorted(value) if isinstance(value, frozenset) else value)]
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _value(hint, v, where: str, error: type[Exception]):
     """``v`` decoded as ``hint``; a value of the wrong form raises
-    TypeError, ValueError, AttributeError or OverflowError."""
+    ValueError, or OverflowError for an int too large for a float.  A
+    message shows the value through ``reprlib.repr``, so that a large
+    value still gives a short message."""
     if hint is int or hint is Seed:
-        if isinstance(v, float) and not v.is_integer():
-            raise ValueError(f"{v!r} is not an integer")
+        if not (type(v) is int or type(v) is float and v.is_integer()):
+            raise ValueError(f"{reprlib.repr(v)} is not an integer")
         v = int(v)
         if hint is Seed and not 0 <= v < 2**64:
             raise ValueError(f"seeds must lie in [0, 2**64), got {v}")
         return v
+    if hint is float:
+        return float(v) if v in ("inf", "-inf") else _number(v)
+    if hint is str:
+        if type(v) is not str:
+            raise ValueError(f"{reprlib.repr(v)} is not a string")
+        return v
     if hint is np.ndarray:
-        return np.asarray(v, dtype=np.float64)
+        return np.asarray(_numbers(v), dtype=np.float64)
     if dataclasses.is_dataclass(hint):
         return decode(hint, v, where, error)
     origin, args = get_origin(hint), get_args(hint)
+    form, name = (Mapping, "an object") if origin is Mapping else (list, "an array")
+    if not isinstance(v, form):
+        raise ValueError(f"{reprlib.repr(v)} is not {name}")
     if origin is tuple and args[-1] is Ellipsis:
         return tuple(_value(args[0], x, f"{where}[{i}]", error) for i, x in enumerate(v))
     if origin is tuple:
@@ -115,10 +157,35 @@ def _value(hint, v, where: str, error: type[Exception]):
         return tuple(_value(a, x, where, error) for a, x in zip(args, v))
     if origin is frozenset:
         return frozenset(_value(args[0], x, where, error) for x in v)
-    if origin is Mapping:
-        key, val = args
-        return {_value(key, k, where, error): _value(val, x, where, error) for k, x in v.items()}
-    return hint(v)  # float (float("inf") is inf) and str
+    # origin is Mapping, and its keys are ints
+    return {_class_key(k): _value(args[1], x, where, error) for k, x in v.items()}
+
+
+def _number(v) -> float:
+    """``v`` as a float: a JSON number that is not a bool and not NaN."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+        raise ValueError(f"{reprlib.repr(v)} is not a number")
+    return float(v)
+
+
+def _numbers(v):
+    """``v``, one number or nested lists of them, once each passes ``_number``
+    (walked with a stack: JSON nests deeper than Python recurses)."""
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, list):
+            todo.extend(reversed(x))
+        else:
+            _number(x)
+    return v
+
+
+def _class_key(k) -> int:
+    """The int whose ``str`` is the object key ``k``."""
+    if not (isinstance(k, str) and k.removeprefix("-").isdecimal() and str(int(k)) == k):
+        raise ValueError(f"{reprlib.repr(k)} is not an integer key")
+    return int(k)
 
 
 def row_reduce(ufunc, a: np.ndarray, dtype=None) -> np.ndarray:
@@ -391,14 +458,13 @@ class LabelGrid:
     class_count: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.size and not labels.max() <= _MAX_CLASS:  # a NaN fails too
-            raise ValidationError("labels must fit in {1..65535}")
+        labels, class_count = np.asarray(self.labels), int(self.class_count)
+        _check_3d(labels)
+        check_class_count(class_count, 1)
+        # as given: a -1 is named, not its uint16 cast; labels in 1..65535 fit
+        check_labels(labels, class_count)
         # the copy also keeps the grid from freezing the caller's array
-        set_fields(self, labels=labels.astype(np.uint16), class_count=int(self.class_count))
-        _check_3d(self.labels)
-        check_class_count(self.class_count, 1)
-        check_labels(labels, self.class_count)  # as given: a -1 is named, not its uint16 cast
+        set_fields(self, labels=labels.astype(np.uint16), class_count=class_count)
 
     @property
     def dims(self) -> tuple[int, int, int]:

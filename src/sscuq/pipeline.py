@@ -40,6 +40,7 @@ from .grids import (
     Seed,
     check_aligned,
     decode,
+    encode,
 )
 from .metrics import (
     class_coverage,
@@ -282,6 +283,14 @@ CALIBRATORS = {
 }
 
 
+@dataclass(frozen=True)
+class _Split:
+    """The calibration split a model records: ``split_mask(n, fraction, seed)``."""
+
+    seed: Seed
+    fraction: float
+
+
 def run_calibrate(
     softmax_path: str,
     labels_path: str,
@@ -299,11 +308,7 @@ def run_calibrate(
     with _degeneracies() as notes:
         model = calibrate(cal, cfg.hcp)
 
-    save_model(
-        model,
-        out_path,
-        extra={"split": {"fraction": cfg.split_fraction, "seed": cfg.seed}},
-    )
+    save_model(model, out_path, extra={"split": encode(_Split(cfg.seed, cfg.split_fraction))})
     return {
         "command": "calibrate",
         "method": method,
@@ -311,14 +316,6 @@ def run_calibrate(
         "calibration_records": cal.n,
         "warnings": notes,
     }
-
-
-@dataclass(frozen=True)
-class _Split:
-    """The calibration split a model records: ``split_mask(n, fraction, seed)``."""
-
-    seed: Seed
-    fraction: float
 
 
 def run_evaluate(

@@ -3,9 +3,11 @@ import copy
 import csv
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.conformal import _MODEL_TYPES, load_model
 from sscuq.container import read_grid
-from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid
+from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid, decode, encode
 from sscuq.metrics import GATE_SCORES
-from sscuq.pipeline import CALIBRATORS, PipelineConfig, run_calibrate
+from sscuq.pipeline import CALIBRATORS, ConfigError, PipelineConfig, _Split, run_calibrate
 
 
 def run_cli(*args):
@@ -520,6 +522,23 @@ _MALFORMED_MODELS = {
     "split-seed-missing": (
         {**_hcp_model_doc(), "split": {"fraction": 0.3}}, "model.split.seed is missing", 2
     ),
+    "split-seed-string": (
+        {**_hcp_model_doc(), "split": {"fraction": 0.3, "seed": "21"}},
+        "model.split.seed is malformed: '21' is not an integer", 2,
+    ),
+    # a quantile is a number or +inf: the gate or a set test against -inf
+    # or NaN passes nothing
+    "q_s-minus-inf": (
+        {**_hcp_model_doc(), "q_s": {"2": 0.2, "3": "-inf", "4": 0.2, "5": 0.6}},
+        "model: q_s[3] must be a number or +inf, got -inf", 3,
+    ),
+    "scp-q-minus-inf": (
+        {**_scp_model_doc(), "q": "-inf"}, "model: q must be a number or +inf, got -inf", 3
+    ),
+    "cccp-q-nan": (
+        {**_cccp_model_doc(), "q": {**_cccp_model_doc()["q"], "3": math.nan}},
+        "model.q is malformed: nan is not a number", 3,
+    ),
 }
 
 
@@ -544,6 +563,56 @@ def test_malformed_model_json_exits_with_field_message(tmp_path, sim_dir, capsys
     assert code == exit_code, err
     assert field in json.loads(err)["error"]
     assert "Traceback" not in err
+
+
+_GEOMETRY = {"dims": [64, 64, 16], "voxel_edge": 0.2, "origin": [-11.2, -6.4, 0.4]}
+
+# each JSON form that decode refuses, in a config (exit 2) and in a model
+# (exit 3): form -> (config, its field, model, its field)
+_REFUSED_FORMS = {
+    "bool": ({"seed": True}, "seed", {**_hcp_model_doc(), "q_o": {"5": True}}, "model.q_o"),
+    "numeric-string": (
+        {"seed": "7"}, "seed", {**_scp_model_doc(), "q": "0.5"}, "model.q"
+    ),
+    "nan-string": (
+        {"noise": {"a": "nan"}}, "noise.a", {**_hcp_model_doc(), "q_o": {"5": "nan"}}, "model.q_o"
+    ),
+    "json-nan": (
+        {"split_fraction": math.nan}, "split_fraction",
+        {**_hcp_model_doc(), "epsilon": math.nan}, "model.epsilon",
+    ),
+    "Infinity-string": (
+        {"noise": {"b": "Infinity"}}, "noise.b",
+        {**_hcp_model_doc(), "q_s": {"2": "Infinity", "3": 0.2, "4": 0.2, "5": 0.6}}, "model.q_s",
+    ),
+    "zero-padded-key": (
+        {"scene": {"class_mix": {"2": 0.0156, "3": 0.03, "4": 0.0164, "05": 0.007}}},
+        "scene.class_mix",
+        {**_hcp_model_doc(), "alpha_target": {"2": 0.1, "3": 0.1, "4": 0.1, "05": 0.4}},
+        "model.alpha_target",
+    ),
+    "string-array-element": (
+        {"geometry": {**_GEOMETRY, "dims": ["64", 64, 16]}}, "geometry.dims",
+        {**_hcp_model_doc(), "rare_set": ["5"]}, "model.rare_set",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_REFUSED_FORMS))
+def test_a_refused_json_form_exits_naming_the_field(tmp_path, sim_dir, capsys, form):
+    config, config_field, model, model_field = _REFUSED_FORMS[form]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, err = _main(capsys, "calibrate", "--config", str(cfg), *_required("calibrate", tmp_path))
+    assert code == 2, err
+    assert json.loads(err)["error"].startswith(f"{config_field} is malformed: "), err
+    out, _ = sim_dir
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    code, err = _main(capsys, "evaluate", "--model", str(path), *data)
+    assert code == 3, err
+    assert json.loads(err)["error"].startswith(f"{model_field} is malformed: "), err
 
 
 @pytest.mark.parametrize("method", ["scp", "cccp", "hcp"])
@@ -580,6 +649,7 @@ def test_config_non_numeric_noise_is_config_error(tmp_path, capsys):
     [
         ({"geometry": []}, "geometry"),
         ({"hcp": {"rare_set": [5], "alpha_o": [1], "alpha_target": {}}}, "hcp.alpha_o"),
+        ({"hcp": {"rare_set": [5], "alpha_o": [0] * 100_000, "alpha_target": {}}}, "hcp.alpha_o"),
     ],
 )
 def test_config_section_of_wrong_type_is_config_error(tmp_path, capsys, doc, field):
@@ -588,6 +658,7 @@ def test_config_section_of_wrong_type_is_config_error(tmp_path, capsys, doc, fie
     code, err = _main(capsys, "simulate", "--out-dir", str(tmp_path / "o"), "--config", str(cfg))
     assert code == 2
     assert field in json.loads(err)["error"]
+    assert len(err) < 200  # a large value is shown shortened
 
 
 def _required(command, tmp_path):
@@ -751,6 +822,17 @@ def test_integral_float_in_integer_field_is_accepted():
     assert cfg.geometry.dims == (64, 64, 16)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_every_config_section_and_the_split_encode_as_they_decode(seed):
+    cfg = PipelineConfig.default(seed)
+    hints = typing.get_type_hints(PipelineConfig)
+    values = [(hints[f.name], getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
+    for hint, value in [*values, (_Split, _Split(seed, 0.3))]:
+        doc = encode(value)
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc  # strict JSON
+        assert encode(decode(hint, doc, "config", ConfigError)) == doc
+
+
 def _readme_config() -> dict:
     """The config of README's "Config schema" section, comments removed."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -809,6 +891,14 @@ def test_deeply_nested_config_and_model_exit_with_a_message(tmp_path, sim_dir, c
     code, err = _main(capsys, "evaluate", "--model", str(deep), *data)
     assert code == 3, err
     assert str(deep) in json.loads(err)["error"]
+    # an array field that JSON parses but that is nested too deep for an array
+    origin = 0.0
+    for _ in range(900):
+        origin = [origin]
+    deep.write_text(json.dumps({"geometry": {**_GEOMETRY, "origin": origin}}))
+    code, err = _main(capsys, "calibrate", "--config", str(deep), *_required("calibrate", tmp_path))
+    assert code == 2, err
+    assert json.loads(err)["error"].startswith("geometry.origin is malformed: ")
 
 
 def test_config_or_model_that_is_not_an_object_names_its_file(tmp_path, sim_dir, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -25,7 +27,7 @@ from sscuq.conformal import (
     scp_calibrate,
     split_alpha,
 )
-from sscuq.grids import SoftmaxGrid, ValidationError
+from sscuq.grids import SoftmaxGrid, ValidationError, decode, encode
 from synth_bench import ALPHA_TARGET, default_hcp_config, sample_benchmark
 
 
@@ -672,6 +674,31 @@ def test_model_codec_roundtrip_is_byte_stable(tmp_path, name):
         assert type(back) is type(model) and back == model
         save_model(back, second, extra={"split": {"fraction": 0.3, "seed": 4}})
         assert second.read_bytes() == first.read_bytes()
+        # the file holds encode(model): strict JSON that decodes to the model
+        doc = encode(model)
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        assert encode(decode(type(model), doc, "model", ValidationError)) == doc
+
+
+_QUANTILE_FIELDS = {
+    "scp.q": lambda q: ScpModel(class_count=3, alpha=0.1, q=q),
+    "cccp.q[2]": lambda q: CccpModel(
+        class_count=3, alpha={1: 0.1, 2: 0.1, 3: 0.1}, q={1: 0.5, 2: q, 3: 0.5}
+    ),
+    "hcp.q_o[3]": lambda q: dataclasses.replace(_CODEC_MODELS["hcp-inf"], q_o={3: q}),
+    "hcp.q_s[2]": lambda q: dataclasses.replace(_CODEC_MODELS["hcp-inf"], q_s={2: q, 3: 0.5}),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_QUANTILE_FIELDS))
+@pytest.mark.parametrize("q", [-math.inf, math.nan])
+def test_a_quantile_is_a_number_or_plus_inf(field, q):
+    # a calibrator writes a finite quantile or +inf; the gate or a set test
+    # against -inf or NaN passes nothing
+    with pytest.raises(ValidationError) as info:
+        _QUANTILE_FIELDS[field](q)
+    assert str(info.value) == f"{field.split('.')[1]} must be a number or +inf, got {q}"
+    _QUANTILE_FIELDS[field](-1.5)  # any number is a quantile
 
 
 def test_class_quantiles_use_each_class_own_records():
