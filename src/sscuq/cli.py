@@ -14,7 +14,7 @@ import json
 import sys
 
 from .container import ContainerError
-from .grids import ValidationError
+from .grids import ValidationError, encode
 from .metrics import GATE_SCORES, check_targets
 from .pipeline import (
     CALIBRATORS,
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "exit": EXIT_DATA}), file=sys.stderr)
         return EXIT_DATA
 
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(encode(summary), sort_keys=True))
     if getattr(args, "strict", False) and summary["warnings"]:
         return EXIT_DEGENERATE
     return EXIT_OK

@@ -81,7 +81,8 @@ def score_class(f, y):
         column = f[..., int(y) - 1]
     else:
         column = np.take_along_axis(f, (y - 1)[..., None], axis=-1)[..., 0]
-    return 1.0 - column.astype(np.float64)
+    # float64 in the ufunc's loop: the only float64 array made is the result
+    return np.subtract(1.0, column, dtype=np.float64)
 
 
 def score_occupied(f):

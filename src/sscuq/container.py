@@ -39,6 +39,7 @@ from .grids import (
     ProbOccupancyGrid,
     SoftmaxGrid,
     ValidationError,
+    encode,
 )
 
 __all__ = ["ContainerError", "FormatError", "TruncationError", "read_grid", "write_grid"]
@@ -87,15 +88,13 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
     _, dtype, planes = _KINDS[kind]
     arrays = [getattr(grid, name) for name in planes]
     dims = arrays[0].shape[:3]  # a softmax grid's fourth axis is its classes
-    header = {
-        "kind": kind, "dims": list(dims), "dtype": dtype.name, "voxel_edge": None, "origin": None
-    }
+    header = {"kind": kind, "dims": dims, "dtype": dtype.name, "voxel_edge": None, "origin": None}
     if kind in _COUNTED:
         header["class_count"] = grid.class_count
     if geometry is not None and len(dims) == 3:  # depth maps (2-d) carry no geometry
         header["voxel_edge"] = geometry.voxel_edge
-        header["origin"] = [float(c) for c in geometry.origin]
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        header["origin"] = geometry.origin
+    head = json.dumps(encode(header), sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = [a.astype(dtype, copy=False).tobytes() for a in arrays]
     prefix = [MAGIC, VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
     atomic_write(path, b"".join(prefix + payload))
@@ -142,9 +141,9 @@ def read_json(path, what: str, error: type[Exception]) -> dict:
 
 
 def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON with sorted keys, an indent of 2 and a trailing
-    newline, atomically (see ``atomic_write``)."""
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write ``grids.encode(doc)`` as JSON with sorted keys, an indent of 2
+    and a trailing newline, atomically (see ``atomic_write``)."""
+    atomic_write(path, json.dumps(encode(doc), sort_keys=True, indent=2) + "\n")
 
 
 def _positive_int(value) -> bool:

@@ -61,11 +61,12 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
       ``"-inf"``;
     * ``str``: a string;
     * ``np.ndarray`` (float64): a number, or nested arrays of numbers;
-    * fixed and ``...`` tuples and ``frozenset``: an array of items;
+    * fixed and ``...`` tuples and ``frozenset``: an array of items,
+      each named ``where.field[i]``;
     * ``Mapping[int, ...]``: an object whose keys are spelled as ``str``
-      spells an int (``"5"``, not ``"05"``);
-    * nested dataclasses: an object (the items of a tuple of them are
-      named ``where.field[i]``).
+      spells an int (``"5"``, not ``"05"``), each value named
+      ``where.field[key]``;
+    * nested dataclasses: an object.
 
     Keys that are not fields are ignored.
 
@@ -74,9 +75,9 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
     then from the field's own default; failing both it is an error.
 
     Every error is raised as ``error`` naming what failed: "where.field
-    is missing", "where.field is malformed: <value> is not <form>" for a
-    value of the wrong form, and "where: ..." for a ValidationError of
-    the constructor.
+    is missing", "where.field[5] is malformed: <value> is not <form>" for
+    a value (here a map's entry) of the wrong form, and "where: ..." for a
+    ValidationError of the constructor.
     """
     if not dataclasses.is_dataclass(cls):
         try:
@@ -109,7 +110,8 @@ def encode(value):
     """The JSON value that ``decode`` reads back as ``value``: a dataclass
     becomes an object of its fields, a Mapping an object keyed by
     ``str(key)`` in key order, a frozenset a sorted list, a tuple or array
-    a list, a numpy scalar its Python value, and +-inf "inf" or "-inf"."""
+    a list, a numpy scalar its Python value, and +-inf "inf" or "-inf".
+    The package's JSON writers spell every document and summary by it."""
     if dataclasses.is_dataclass(value):
         return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Mapping):
@@ -143,22 +145,18 @@ def _value(hint, v, where: str, error: type[Exception]):
         return v
     if hint is np.ndarray:
         return np.asarray(_numbers(v), dtype=np.float64)
-    if dataclasses.is_dataclass(hint):
-        return decode(hint, v, where, error)
     origin, args = get_origin(hint), get_args(hint)
     form, name = (Mapping, "an object") if origin is Mapping else (list, "an array")
     if not isinstance(v, form):
         raise ValueError(f"{reprlib.repr(v)} is not {name}")
-    if origin is tuple and args[-1] is Ellipsis:
-        return tuple(_value(args[0], x, f"{where}[{i}]", error) for i, x in enumerate(v))
-    if origin is tuple:
-        if len(v) != len(args):
-            raise ValueError(f"expected {len(args)} items, got {len(v)}")
-        return tuple(_value(a, x, where, error) for a, x in zip(args, v))
-    if origin is frozenset:
-        return frozenset(_value(args[0], x, where, error) for x in v)
-    # origin is Mapping, and its keys are ints
-    return {_class_key(k): _value(args[1], x, where, error) for k, x in v.items()}
+    if origin is Mapping:  # its keys are ints
+        return {_class_key(k): decode(args[1], x, f"{where}[{k}]", error) for k, x in v.items()}
+    sized = origin is tuple and args[-1] is not Ellipsis
+    if sized and len(v) != len(args):
+        raise ValueError(f"expected {len(args)} items, got {len(v)}")
+    hints = args if sized else (args[0],) * len(v)
+    items = (decode(a, x, f"{where}[{i}]", error) for i, (a, x) in enumerate(zip(hints, v)))
+    return frozenset(items) if origin is frozenset else tuple(items)
 
 
 def _number(v) -> float:

@@ -40,7 +40,6 @@ from .grids import (
     Seed,
     check_aligned,
     decode,
-    encode,
 )
 from .metrics import (
     class_coverage,
@@ -215,16 +214,12 @@ def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
     write_grid(est, paths["depth_est"])
     write_grid(softmax, paths["softmax"], geometry=cfg.geometry)
 
-    total = world.labels.size
-    fractions = {
-        str(y): float(np.count_nonzero(world.labels == y) / total)
-        for y in range(1, world.class_count + 1)
-    }
+    counts = np.bincount(world.flat(), minlength=world.class_count + 1)
     return {
         "command": "simulate",
         "paths": paths,
-        "class_fractions": fractions,
-        "valid_pixels": int(est.valid_mask.sum()),
+        "class_fractions": dict(enumerate(counts[1:] / world.labels.size, start=1)),
+        "valid_pixels": est.valid_mask.sum(),
     }
 
 
@@ -241,17 +236,15 @@ def run_project(
         if isinstance(depth, DepthEstimate):
             depth = GroundTruthDepth(depth.mean, depth.valid_mask)
         grid = build_binary_grid(depth, cfg.intrinsics, cfg.geometry, threads=threads)
-        occupancy = int(grid.values.sum())
     else:
         est = read_grid(depth_path, "depth_estimate")  # the probabilistic grid needs sigma
         grid = build_prob_grid(est, cfg.intrinsics, cfg.geometry, threads=threads)
-        occupancy = float(grid.values.sum())
     write_grid(grid, out_path, geometry=cfg.geometry)
     return {
         "command": "project",
         "path": out_path,
         "kind": "binary_occupancy" if binary else "prob_occupancy",
-        "total_mass": occupancy,
+        "total_mass": grid.values.sum(),
     }
 
 
@@ -308,7 +301,7 @@ def run_calibrate(
     with _degeneracies() as notes:
         model = calibrate(cal, cfg.hcp)
 
-    save_model(model, out_path, extra={"split": encode(_Split(cfg.seed, cfg.split_fraction))})
+    save_model(model, out_path, extra={"split": _Split(cfg.seed, cfg.split_fraction)})
     return {
         "command": "calibrate",
         "method": method,
@@ -343,30 +336,27 @@ def run_evaluate(
     argmax_labels += 1  # in place: one int64 array per test row, not two
     per_class_iou, miou = semantic_miou_flat(argmax_labels, labs, model.class_count)
     classes = range(2, model.class_count + 1)
-    # the report: the JSON file, the CSV and the summary all show this one
-    # document, whose per-class maps are keyed by str(class) as JSON keys are
+    # the report: the JSON file, the CSV and the summary all show this one document
     doc = {
         "iou": geom.iou,
         "precision": geom.precision,
         "recall": geom.recall,
-        "per_class_iou": {str(y): per_class_iou[y] for y in classes},
+        "per_class_iou": per_class_iou,
         "miou": miou,
-        "occupied_recall": {
-            str(y): occupied_recall_flat(occ, labs, y, model.class_count) for y in classes
-        },
+        "occupied_recall": {y: occupied_recall_flat(occ, labs, y, model.class_count) for y in classes},
         "cov_gap": cov_gap(coverage, model.target_rates),
         "avg_size": avg_size(member),
-        "per_class_coverage": {str(y): coverage[y] for y in classes},
+        "per_class_coverage": coverage,
     }
     if out_json:
         write_json(out_json, doc)
     if out_csv:
         per_class = ("per_class_iou", "per_class_coverage", "occupied_recall")
         rows = [["row", "class", "iou", "coverage", "occupied_recall"]]
-        rows += [["class", y, *(doc[key][str(y)] for key in per_class)] for y in classes]
+        rows += [["class", y, *(doc[key][y] for key in per_class)] for y in classes]
         rows.append(["aggregate", "", doc["iou"], doc["cov_gap"], doc["avg_size"]])
         _write_csv(out_csv, rows)
-    return {"command": "evaluate", "test_records": int(test.sum()), "report": doc}
+    return {"command": "evaluate", "split": split, "test_records": test.sum(), "report": doc}
 
 
 def _write_csv(path: str, rows) -> None:

@@ -161,6 +161,12 @@ def test_calibrate_then_evaluate_and_split_isolation(tmp_path, sim_dir):
     )
     assert r.returncode == 0, r.stderr
     summary = json.loads(r.stdout)
+    # the summary names the split it used: the model's, whatever --seed says
+    assert summary["split"] == doc["split"]
+    r = run_cli("evaluate", "--model", str(model_path), "--seed", "9",
+                "--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg"))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["split"] == doc["split"]
     report = summary["report"]
     assert 0.0 <= report["avg_size"] <= 4.0
     assert report["cov_gap"] is not None
@@ -537,7 +543,7 @@ _MALFORMED_MODELS = {
     ),
     "cccp-q-nan": (
         {**_cccp_model_doc(), "q": {**_cccp_model_doc()["q"], "3": math.nan}},
-        "model.q is malformed: nan is not a number", 3,
+        "model.q[3] is malformed: nan is not a number", 3,
     ),
 }
 
@@ -570,12 +576,13 @@ _GEOMETRY = {"dims": [64, 64, 16], "voxel_edge": 0.2, "origin": [-11.2, -6.4, 0.
 # each JSON form that decode refuses, in a config (exit 2) and in a model
 # (exit 3): form -> (config, its field, model, its field)
 _REFUSED_FORMS = {
-    "bool": ({"seed": True}, "seed", {**_hcp_model_doc(), "q_o": {"5": True}}, "model.q_o"),
+    "bool": ({"seed": True}, "seed", {**_hcp_model_doc(), "q_o": {"5": True}}, "model.q_o[5]"),
     "numeric-string": (
         {"seed": "7"}, "seed", {**_scp_model_doc(), "q": "0.5"}, "model.q"
     ),
     "nan-string": (
-        {"noise": {"a": "nan"}}, "noise.a", {**_hcp_model_doc(), "q_o": {"5": "nan"}}, "model.q_o"
+        {"noise": {"a": "nan"}}, "noise.a",
+        {**_hcp_model_doc(), "q_o": {"5": "nan"}}, "model.q_o[5]",
     ),
     "json-nan": (
         {"split_fraction": math.nan}, "split_fraction",
@@ -583,7 +590,8 @@ _REFUSED_FORMS = {
     ),
     "Infinity-string": (
         {"noise": {"b": "Infinity"}}, "noise.b",
-        {**_hcp_model_doc(), "q_s": {"2": "Infinity", "3": 0.2, "4": 0.2, "5": 0.6}}, "model.q_s",
+        {**_hcp_model_doc(), "q_s": {"2": "Infinity", "3": 0.2, "4": 0.2, "5": 0.6}},
+        "model.q_s[2]",
     ),
     "zero-padded-key": (
         {"scene": {"class_mix": {"2": 0.0156, "3": 0.03, "4": 0.0164, "05": 0.007}}},
@@ -592,8 +600,8 @@ _REFUSED_FORMS = {
         "model.alpha_target",
     ),
     "string-array-element": (
-        {"geometry": {**_GEOMETRY, "dims": ["64", 64, 16]}}, "geometry.dims",
-        {**_hcp_model_doc(), "rare_set": ["5"]}, "model.rare_set",
+        {"geometry": {**_GEOMETRY, "dims": ["64", 64, 16]}}, "geometry.dims[0]",
+        {**_hcp_model_doc(), "rare_set": ["5"]}, "model.rare_set[0]",
     ),
 }
 
@@ -700,9 +708,12 @@ def test_seed_outside_uint64_is_config_error(tmp_path, capsys, command, flags, d
         ({"seed": 1.5}, "seed"),
         ({"scene": {"seed": 0.5}}, "scene.seed"),
         ({"seed": float("inf")}, "seed"),
-        ({"geometry": {"dims": [64.9, 64, 16], "voxel_edge": 0.2}}, "geometry.dims"),
+        ({"geometry": {"dims": [64.9, 64, 16], "voxel_edge": 0.2}}, "geometry.dims[0]"),
         ({"scene": {"class_count": 5.5}}, "scene.class_count"),
-        ({"hcp": {"rare_set": [5.5], "alpha_o": {"5": 0.3}, "alpha_target": {}}}, "hcp.rare_set"),
+        (
+            {"hcp": {"rare_set": [5.5], "alpha_o": {"5": 0.3}, "alpha_target": {}}},
+            "hcp.rare_set[0]",
+        ),
     ],
 )
 def test_non_integer_in_integer_field_is_config_error(tmp_path, capsys, doc, field):

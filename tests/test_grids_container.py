@@ -423,6 +423,27 @@ def test_geometry_header_roundtrip(tmp_path):
     assert header["dims"] == [2, 3, 4]
 
 
+def test_write_json_spells_typed_values_through_encode(tmp_path):
+    import math
+
+    from sscuq.container import write_json
+    from sscuq.grids import encode
+    from sscuq.pipeline import _Split
+
+    m = {10: np.float32(0.5), 2: None}
+    doc = {"m": m, "q": math.inf, "n": np.int64(3), "s": _Split(3, 0.3)}
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    text = path.read_text()
+    assert text == json.dumps(encode(doc), sort_keys=True, indent=2) + "\n"
+    # int keys as str keys, ordered as json orders them; +inf as decode reads it
+    assert text.index('"10"') < text.index('"2"')
+    assert json.loads(text) == {
+        "m": {"10": 0.5, "2": None}, "q": "inf", "n": 3, "s": {"fraction": 0.3, "seed": 3}
+    }
+    assert '"n": 3,' in text and '"10": 0.5,' in text  # plain numbers
+
+
 def test_depth_estimate_roundtrip(tmp_path):
     est = DepthEstimate(
         mean=np.array([[1.5, 0.0], [2.25, 3.5]], np.float32),
