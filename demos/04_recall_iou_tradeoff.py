@@ -23,7 +23,6 @@ world = generate_scene(default_scene_spec(seed=2))
 softmax = synth_classifier(world, default_classifier_spec(seed=22))
 mask = split_mask(world.labels.size, 0.3, seed=2)
 cal = CalibrationSet.from_grids(softmax, world, mask=mask)
-test_probs, test_labels = softmax.flat()[~mask], world.flat()[~mask]
 
 cfg = HcpConfig(
     class_count=5,
@@ -34,7 +33,7 @@ cfg = HcpConfig(
 targets = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
 
 tables = {
-    kind: recall_iou_sweep(test_probs, test_labels, cal, cfg, kind, targets)
+    kind: recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, kind, targets)
     for kind in ("kl", "class", "occupied")
 }
 

@@ -213,6 +213,25 @@ def row_blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
+def map_rows(fn, rows: np.ndarray, mask: np.ndarray, outs: tuple) -> tuple:
+    """Fill ``outs`` from the rows of ``rows`` that the boolean ``mask``
+    selects, one ``row_blocks`` block at a time, and return them.
+
+    ``fn`` is called on each block's selected rows, also when a block
+    selects none, and returns one array per output with one entry per row
+    along the first axis; these fill the outputs in row order.  Only a
+    block of selected rows is ever copied.
+    """
+    at = 0
+    for block in row_blocks(mask.shape[0]):
+        selected = rows[block][mask[block]]
+        stop = at + selected.shape[0]
+        for out, part in zip(outs, fn(selected)):
+            out[at:stop] = part
+        at = stop
+    return outs
+
+
 def check_softmax_shape(f) -> np.ndarray:
     """``f`` as an array of vectors (..., M), M >= 2; its values unchecked."""
     f = np.asarray(f)

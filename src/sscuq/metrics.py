@@ -24,6 +24,7 @@ from .conformal import (  # noqa: F401
     score_kl,
     score_occupied,
 )
+from .grids import map_rows
 
 __all__ = [
     "GATE_SCORES",
@@ -130,7 +131,8 @@ def avg_size(member: np.ndarray) -> float:
     member = _flat_member(member)
     if member.shape[0] == 0:
         raise ValueError("no prediction sets given")
-    return float(member[:, 1:].sum(axis=1).mean())
+    # the mean of the per-set counts, without an int64 count per set
+    return np.count_nonzero(member[:, 1:]) / member.shape[0]
 
 
 # gate score name -> score(vectors, rare class or classes, HcpConfig); low
@@ -163,6 +165,7 @@ def check_targets(targets: Sequence) -> list[float]:
 def recall_iou_sweep(
     probs: np.ndarray,
     labels: np.ndarray,
+    mask: np.ndarray,
     cal: CalibrationSet,
     cfg: HcpConfig,
     score_kind: str,
@@ -173,9 +176,12 @@ def recall_iou_sweep(
     For each target recall r, the gate is calibrated at error rate 1 - r
     with the chosen score function (a key of ``GATE_SCORES``)
     on the rare classes' calibration records, then scored on the
-    evaluation rows ``probs`` (N, M) with true ``labels`` (N,): achieved
-    occupied recall of the rare class (minimum over the rare set when it
-    has several members) and occupancy IoU.
+    evaluation rows: the rows of ``probs`` (N, M) and their true
+    ``labels`` (N,) that the boolean ``mask`` (N,) selects.  Reported:
+    achieved occupied recall of the rare class (minimum over the rare set
+    when it has several members) and occupancy IoU.  The evaluation rows
+    are scored one block at a time, keeping only each row's gate decision
+    at every target.
     """
     if score_kind not in GATE_SCORES:
         raise ValueError(f"unknown score kind {score_kind!r}")
@@ -183,26 +189,31 @@ def recall_iou_sweep(
     if probs.shape[-1] != cfg.class_count or cal.class_count != cfg.class_count:
         raise ValueError("class counts differ between rows, calibration, and config")
 
-    gt_occ = labels >= 2
     rare = sorted(cfg.rare_set)
     score = GATE_SCORES[score_kind]
 
     # no score depends on the target: score the rare classes' calibration
-    # records and the evaluation rows once.  With kind="sort", isin compares
+    # records and each evaluation row once.  With kind="sort", isin compares
     # a few classes one at a time; its default table method builds more
-    # arrays per record, and this runs at the sweep's peak memory
+    # arrays per record
     in_rare = np.isin(cal.labels, rare, kind="sort")
     cal_labels = cal.labels[in_rare]
     cal_scores = score(cal.probs[in_rare], cal_labels, cfg)
-    scores = {y: score(probs, y, cfg) for y in rare}
-    rows = []
-    for target in targets:
-        q = class_quantiles(cal_scores, cal_labels, dict.fromkeys(rare, 1.0 - target))
-        pred_occ = np.zeros(labels.shape[0], dtype=bool)
+    q = [class_quantiles(cal_scores, cal_labels, dict.fromkeys(rare, 1.0 - t)) for t in targets]
+
+    def gate(f):  # (rows, targets): does the row pass the gate at the target?
+        passed = np.zeros((f.shape[0], len(targets)), dtype=bool)
         for y in rare:
-            pred_occ |= scores[y] <= q[y]
-        recalls = [occupied_recall_flat(pred_occ, labels, y, cfg.class_count) for y in rare]
+            passed |= score(f, y, cfg)[:, None] <= [q_t[y] for q_t in q]
+        return (passed,)
+
+    labels = labels[mask]
+    (pred_occ,) = map_rows(gate, probs, mask, (np.empty((labels.size, len(targets)), bool),))
+    gt_occ = labels >= 2
+    rows = []
+    for target, pred in zip(targets, pred_occ.T):
+        recalls = [occupied_recall_flat(pred, labels, y, cfg.class_count) for y in rare]
         recalls = [r for r in recalls if r is not None]
-        iou = geometry_metrics_from_masks(pred_occ, gt_occ).iou
+        iou = geometry_metrics_from_masks(pred, gt_occ).iou
         rows.append(SweepRow(target, min(recalls) if recalls else None, iou))
     return rows

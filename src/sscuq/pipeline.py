@@ -40,6 +40,8 @@ from .grids import (
     Seed,
     check_aligned,
     decode,
+    map_rows,
+    row_blocks,
 )
 from .metrics import (
     class_coverage,
@@ -81,11 +83,20 @@ class ConfigError(ValueError):
 
 
 def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
-    """Boolean calibration mask over voxel indices, pure in (seed, index)."""
+    """Boolean calibration mask over voxel indices, one byte per voxel.
+
+    Voxel i is a calibration voxel iff draw i of the seed's split stream is
+    below ``fraction``, so the mask is pure in (seed, index).  The draws are
+    made one ``row_blocks`` block of counters at a time.
+    """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split_fraction must be in (0, 1), got {fraction}")
-    u = rng.uniforms(rng.derive_seed(seed, rng.TAG_SPLIT), np.arange(n_voxels))
-    return u < fraction
+    stream = rng.derive_seed(seed, rng.TAG_SPLIT)
+    mask = np.empty(n_voxels, dtype=bool)
+    for block in row_blocks(n_voxels):
+        u = rng.uniforms(stream, np.arange(block.start, block.stop))
+        np.less(u, fraction, out=mask[block])
+    return mask
 
 
 @dataclass(frozen=True)
@@ -190,8 +201,6 @@ def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
     """Generate a world, classify it, render its depths, write containers."""
     os.makedirs(out_dir, exist_ok=True)
     world = generate_scene(cfg.scene)
-    # the classifier's temporaries are the command's peak; rendering after
-    # it keeps the ray chunks' scratch (worker threads' too) out of that peak
     softmax = synth_classifier(world, cfg.classifier)
     gt_depth, est = render_depth(
         world,
@@ -326,14 +335,19 @@ def run_evaluate(
 
     softmax, labels = _load_pair(softmax_path, labels_path)
     test = ~split_mask(labels.labels.size, split.fraction, split.seed)
-    probs = softmax.flat()[test]
     labs = labels.flat()[test]
-    occ, member = model.predict(probs)
+    n, m = labs.size, model.class_count
+    # one block of test rows is predicted at a time; only per-row results stay
+    occ, member, argmax_labels = map_rows(
+        lambda f: (*model.predict(f), f.argmax(axis=1)),
+        softmax.flat(),
+        test,
+        (np.empty(n, dtype=bool), np.empty((n, m), dtype=bool), np.empty(n, dtype=np.uint16)),
+    )
+    argmax_labels += 1
     coverage = class_coverage(member, labs)
 
     geom = geometry_metrics_from_masks(occ, labs >= 2)
-    argmax_labels = probs.argmax(axis=1)
-    argmax_labels += 1  # in place: one int64 array per test row, not two
     per_class_iou, miou = semantic_miou_flat(argmax_labels, labs, model.class_count)
     classes = range(2, model.class_count + 1)
     # the report: the JSON file, the CSV and the summary all show this one document
@@ -376,11 +390,12 @@ def run_sweep(
     """Recall/IoU trade-off of the geometric gate on the test split."""
     softmax, labels = _load_pair(softmax_path, labels_path)
     mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
-    cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
-    test = ~mask
+    # the gate ranks the rare classes' calibration records only
+    rare = np.isin(labels.flat(), sorted(cfg.hcp.rare_set), kind="sort")
+    cal = CalibrationSet.from_grids(softmax, labels, mask=mask & rare)
     with _degeneracies() as notes:
         rows = recall_iou_sweep(
-            softmax.flat()[test], labels.flat()[test], cal, cfg.hcp, score_kind, targets
+            softmax.flat(), labels.flat(), ~mask, cal, cfg.hcp, score_kind, targets
         )
     if out_csv:
         _write_csv(out_csv, [["target_recall", "achieved_recall", "iou"], *rows])

@@ -28,6 +28,7 @@ from .grids import (
     ValidationError,
     check_class_count,
     check_labels,
+    row_blocks,
     row_reduce,
     set_fields,
 )
@@ -359,35 +360,42 @@ def draw_labels(n: int, fractions: Sequence[float], seed: int) -> np.ndarray:
     return 1 + np.searchsorted(cdf[:-1], u, side="right").astype(np.int64)
 
 
-def classify_labels(labels: np.ndarray, spec: ClassifierSpec) -> np.ndarray:
-    """Softmax vectors (N, M) for a flat label array, one i.i.d. draw per row.
+def classify_labels(labels: np.ndarray, spec: ClassifierSpec, dtype=np.float64) -> np.ndarray:
+    """Softmax vectors (N, M) of ``dtype`` for a flat label array, one
+    i.i.d. draw per row.
 
-    Rows with the same label are exchangeable by construction (each row
-    uses its own counters of the seed's streams), which is what the
-    conformal coverage guarantees downstream assume.
+    Row i draws its confusion target from counter i of the seed's target
+    stream and its M logit noises from counters iM..iM+M-1 of its Gumbel
+    stream, so rows with the same label are exchangeable by construction,
+    which is what the conformal coverage guarantees downstream assume.
+    Rows are drawn and computed in float64 one ``row_blocks`` block at a
+    time, then written to the output as ``dtype``.
     """
     m = spec.class_count
     check_labels(labels, m)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    n = labels.size
-    rows = labels - 1
-    u = rng.uniforms(rng.derive_seed(spec.seed, rng.TAG_TARGET), np.arange(n))
-    # target = how many entries of the row's confusion CDF lie below u,
-    # counted one CDF column at a time (no (N, M) gather of CDF rows)
+    labels = np.asarray(labels).reshape(-1)
+    target_stream = rng.derive_seed(spec.seed, rng.TAG_TARGET)
+    gumbel_stream = rng.derive_seed(spec.seed, rng.TAG_GUMBEL)
     cdf = np.cumsum(spec.confusion, axis=1)
-    target = np.zeros(n, dtype=np.int64)
-    for j in range(m - 1):
-        target += u > cdf[:, j].take(rows)
+    out = np.empty((labels.size, m), dtype=dtype)
+    for block in row_blocks(labels.size):
+        rows = labels[block].astype(np.int64) - 1
+        u = rng.uniforms(target_stream, np.arange(block.start, block.stop))
+        # target = how many entries of the row's confusion CDF lie below u,
+        # counted one CDF column at a time (no (N, M) gather of CDF rows)
+        target = np.zeros(rows.size, dtype=np.int64)
+        for j in range(m - 1):
+            target += u > cdf[:, j].take(rows)
 
-    logits = rng.gumbels(
-        rng.derive_seed(spec.seed, rng.TAG_GUMBEL), np.arange(n * m)
-    ).reshape(n, m)
-    logits[np.arange(n), target] += spec.sharpness[rows]
-    logits /= spec.temperature
-    logits -= row_reduce(np.maximum, logits)[:, None]
-    probs = np.exp(logits, out=logits)
-    probs /= row_reduce(np.add, probs)[:, None]
-    return probs
+        counters = np.arange(block.start * m, block.stop * m)
+        logits = rng.gumbels(gumbel_stream, counters).reshape(-1, m)
+        logits[np.arange(rows.size), target] += spec.sharpness[rows]
+        logits /= spec.temperature
+        logits -= row_reduce(np.maximum, logits)[:, None]
+        probs = np.exp(logits, out=logits)
+        probs /= row_reduce(np.add, probs)[:, None]
+        out[block] = probs
+    return out
 
 
 def synth_classifier(world: LabelGrid, spec: ClassifierSpec) -> SoftmaxGrid:
@@ -396,5 +404,5 @@ def synth_classifier(world: LabelGrid, spec: ClassifierSpec) -> SoftmaxGrid:
         raise ValidationError(
             f"classifier has {spec.class_count} classes, world {world.class_count}"
         )
-    probs = classify_labels(world.flat(), spec)
-    return SoftmaxGrid(probs.reshape(world.dims + (spec.class_count,)).astype(np.float32))
+    probs = classify_labels(world.flat(), spec, np.float32)
+    return SoftmaxGrid(probs.reshape(world.dims + (spec.class_count,)))

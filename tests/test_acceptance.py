@@ -279,7 +279,7 @@ def test_criterion_6_kl_score_highest_iou(scene_runs):
     worst_margin = 1.0
     for world, softmax, cal, mask, test_labels, test_probs in scene_runs:
         tables = {
-            kind: recall_iou_sweep(test_probs, test_labels, cal, cfg, kind, targets)
+            kind: recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, kind, targets)
             for kind in ("kl", "class", "occupied")
         }
         margins = [

@@ -1,10 +1,13 @@
-"""Allocation bounds of the container reader and the row kernels.
+"""Allocation bounds of the container reader, the row kernels and the
+per-voxel passes of the commands.
 
 ``tracemalloc`` sees numpy's array buffers, so these bounds count bytes,
 not time: reading a container allocates its payload once, a row kernel
 allocates its outputs plus a few blocks of float64 rows, never a float64
 copy of its whole input, and checking valid integer labels allocates no
-mask.
+mask.  The split mask, the surrogate classifier, ``evaluate`` and
+``sweep`` walk voxels in blocks too: each allocates its compact outputs
+plus a few blocks, never a copy of the test rows.
 """
 
 import tracemalloc
@@ -14,11 +17,14 @@ import pytest
 
 from sscuq.conformal import HcpModel, score_kl
 from sscuq.container import read_grid, write_grid
-from sscuq.grids import _BLOCK_ROWS, SoftmaxGrid, check_labels
+from sscuq.grids import _BLOCK_ROWS, LabelGrid, SoftmaxGrid, check_labels
+from sscuq.pipeline import PipelineConfig, run_calibrate, run_evaluate, run_sweep, split_mask
+from sscuq.synth import default_classifier_spec, draw_labels, synth_classifier
 
 M = 5
 MB = 1 << 20
 BLOCK = _BLOCK_ROWS * M * 8  # one block of rows in float64
+DRAWS = _BLOCK_ROWS * 8  # one block of 8-byte draws or counters
 
 
 def _peak_allocation(fn, *args):
@@ -78,3 +84,65 @@ def test_check_labels_of_valid_integer_labels_builds_no_mask(dtype):
     labels = np.full(1_000_000, 2, dtype=dtype)  # a mask alone would be 1 MB
     _, peak = _peak_allocation(check_labels, labels, 5)
     assert peak < 64 << 10, peak
+
+
+def test_split_mask_allocates_its_mask_and_a_few_blocks():
+    n = 1_000_000
+    mask, peak = _peak_allocation(split_mask, n, 0.3, 0)
+    assert mask.nbytes == n
+    assert peak <= n + 6 * DRAWS, peak
+
+
+@pytest.fixture(scope="module")
+def scene_grids():
+    """A 524,288-voxel label grid with the default scene's class mix, and
+    the surrogate softmax of it."""
+    dims = (64, 64, 128)
+    mix = [0.931, 0.0156, 0.030, 0.0164, 0.007]  # the default scene's targets
+    labels = LabelGrid(draw_labels(np.prod(dims), mix, 1).reshape(dims), class_count=M)
+    return labels, synth_classifier(labels, default_classifier_spec(0))
+
+
+def test_synth_classifier_allocates_its_float32_output_and_a_few_blocks(scene_grids):
+    labels, _ = scene_grids
+    softmax, peak = _peak_allocation(synth_classifier, labels, default_classifier_spec(0))
+    assert softmax.probs.dtype == np.float32
+    assert peak <= softmax.probs.nbytes + 6 * BLOCK, peak
+
+
+@pytest.fixture(scope="module")
+def containers(scene_grids, tmp_path_factory):
+    """The grids as containers, an HCP model calibrated on them, the
+    payload bytes a command reads, and the numbers of voxels and of test
+    voxels."""
+    labels, softmax = scene_grids
+    out = tmp_path_factory.mktemp("containers")
+    paths = str(out / "softmax.sscg"), str(out / "labels.sscg")
+    write_grid(softmax, paths[0])
+    write_grid(labels, paths[1])
+    run_calibrate(*paths, PipelineConfig.default(0), "hcp", str(out / "hcp.json"))
+    payload = softmax.probs.nbytes + labels.labels.nbytes
+    n = labels.labels.size
+    return paths, str(out / "hcp.json"), payload, n, int((~split_mask(n, 0.3, 0)).sum())
+
+
+def test_evaluate_holds_no_float_copy_of_the_test_rows(containers):
+    (softmax, labels), model, payload, n, n_test = containers
+    _, peak = _peak_allocation(run_evaluate, model, softmax, labels)
+    # the split mask and its negation, and per test row its label (uint16),
+    # occupancy, set membership and argmax label (uint16)
+    per_row = n_test * (2 + 1 + M + 2)
+    assert peak <= payload + 2 * n + per_row + 4 * BLOCK, peak
+    assert n_test * M * 4 > 4 * BLOCK  # a float32 copy of the test rows would not fit
+
+
+@pytest.mark.parametrize("score", ["kl", "class", "occupied"])
+def test_sweep_holds_no_float_copy_of_the_test_rows(containers, score):
+    (softmax, labels), _, payload, n, n_test = containers
+    targets = [0.5, 0.7, 0.9]
+    _, peak = _peak_allocation(run_sweep, softmax, labels, PipelineConfig.default(0), score, targets)
+    # four masks (the split, the rare classes, the rare calibration voxels
+    # and the test voxels), and per test row its label (uint16) and its
+    # gate decision at each target
+    per_row = n_test * (2 + len(targets))
+    assert peak <= payload + 4 * n + per_row + 4 * BLOCK, peak

@@ -148,7 +148,7 @@ def test_sweep_rows_monotone_gate_and_recall():
     world, softmax, cal, mask, test_labels, test_probs = scene_benchmark(3)
     cfg = default_hcp_config()
     targets = [0.3, 0.5, 0.7]
-    rows = recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", targets)
+    rows = recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, "kl", targets)
     assert [r.target_recall for r in rows] == targets
     for row in rows:
         n_cal = int((cal.labels == 5).sum())
@@ -162,7 +162,7 @@ def test_sweep_rows_monotone_gate_and_recall():
 def test_sweep_with_two_rare_classes_matches_a_per_class_oracle(kind):
     # each rare class's gate quantile ranks that class's own calibration
     # records, scored against its own label for the class score
-    _, _, cal, _, test_labels, test_probs = scene_benchmark(5)
+    world, softmax, cal, mask, test_labels, test_probs = scene_benchmark(5)
     cfg = HcpConfig(
         class_count=5, rare_set=frozenset({4, 5}), alpha_o={4: 0.3, 5: 0.3},
         alpha_target=default_hcp_config().alpha_target,
@@ -173,7 +173,7 @@ def test_sweep_with_two_rare_classes_matches_a_per_class_oracle(kind):
         "occupied": lambda f, y: f[:, 0].astype(np.float64),
     }[kind]
     targets = [0.3, 0.6, 0.9]
-    rows = recall_iou_sweep(test_probs, test_labels, cal, cfg, kind, targets)
+    rows = recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, kind, targets)
     for target, row in zip(targets, rows):
         pred = np.zeros(test_labels.size, dtype=bool)
         for y in (4, 5):
@@ -184,14 +184,14 @@ def test_sweep_with_two_rare_classes_matches_a_per_class_oracle(kind):
 
 
 def test_sweep_rejects_bad_targets():
-    _, _, cal, _, test_labels, test_probs = scene_benchmark(4)
+    world, softmax, cal, mask, _, _ = scene_benchmark(4)
     cfg = default_hcp_config()
     with pytest.raises(ValueError, match="strictly increasing"):
-        recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", [0.5, 0.4])
+        recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, "kl", [0.5, 0.4])
     with pytest.raises(ValueError, match="strictly inside"):
-        recall_iou_sweep(test_probs, test_labels, cal, cfg, "kl", [0.0, 0.5])
+        recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, "kl", [0.0, 0.5])
     with pytest.raises(ValueError, match="unknown score kind"):
-        recall_iou_sweep(test_probs, test_labels, cal, cfg, "bogus", [0.5])
+        recall_iou_sweep(softmax.flat(), world.flat(), ~mask, cal, cfg, "bogus", [0.5])
 
 
 def test_gating_never_grows_sets():

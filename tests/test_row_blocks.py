@@ -3,12 +3,16 @@ score in float64 whatever the input's float dtype.
 
 A row's score, set and gate decision must not depend on the block it
 falls in, nor on whether its vector arrived as float32 (as the SSCG
-containers store it) or float64.
+containers store it) or float64.  The commands' per-voxel passes (the
+split mask, the surrogate classifier, ``evaluate`` and ``sweep``) walk
+voxels in the same blocks, and write the same bytes at any block size.
 """
 
 import numpy as np
 import pytest
 
+from sscuq import grids, rng
+from sscuq.cli import main
 from sscuq.conformal import (
     CalibrationSet,
     CccpModel,
@@ -25,6 +29,9 @@ from sscuq.conformal import (
 )
 from sscuq.container import read_grid, write_grid
 from sscuq.grids import _BLOCK_ROWS, LabelGrid, SoftmaxGrid, ValidationError, check_softmax_rows
+from sscuq.metrics import GATE_SCORES
+from sscuq.pipeline import CALIBRATORS, PipelineConfig, split_mask
+from sscuq.synth import ClassifierSpec, classify_labels, draw_labels
 
 M = 5
 N = 2 * _BLOCK_ROWS + 7  # two full blocks and a short last one
@@ -228,3 +235,59 @@ def test_calibration_set_widens_other_dtypes_to_float64():
     labels = np.arange(1, M + 1)
     for dtype in (np.float16, np.float64, np.int64):
         assert CalibrationSet(np.eye(M, dtype=dtype), labels).probs.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# the per-voxel passes of the commands: no byte depends on the block size
+
+# odd, and small enough that some block of the default split holds no test voxel
+_SMALL_BLOCK = 7
+
+
+def _command_outputs(root) -> dict:
+    """Every file that simulate, then calibrate and evaluate with each
+    method and sweep with each score on its outputs, write under ``root``."""
+    sim = root / "sim"
+    assert main(["simulate", "--out-dir", str(sim)]) == 0
+    data = ["--softmax", str(sim / "softmax.sscg"), "--labels", str(sim / "labels.sscg")]
+    for method in CALIBRATORS:
+        model = str(root / f"{method}.json")
+        assert main(["calibrate", "--method", method, *data, "--out", model]) == 0
+        metrics = ["--out-json", str(root / f"{method}.metrics.json")]
+        metrics += ["--out-csv", str(root / f"{method}.metrics.csv")]
+        assert main(["evaluate", "--model", model, *data, *metrics]) == 0
+    for score in GATE_SCORES:
+        out = str(root / f"sweep_{score}.csv")
+        argv = ["sweep", "--score", score, *data, "--targets", "0.5,0.7,0.9", "--out", out]
+        assert main(argv) == 0
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_every_command_writes_the_same_bytes_at_any_block_size(tmp_path, monkeypatch, capsys):
+    want = _command_outputs(tmp_path / "default")
+    monkeypatch.setattr(grids, "_BLOCK_ROWS", _SMALL_BLOCK)
+    test = ~split_mask(PipelineConfig.default().geometry.voxel_count, 0.3, 0)
+    assert not all(test[block].any() for block in grids.row_blocks(test.size))
+    got = _command_outputs(tmp_path / "small")
+    capsys.readouterr()
+    assert got.keys() == want.keys() and len(want) == 16
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, N])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_split_mask_is_one_draw_per_voxel(n, seed):
+    u = rng.uniforms(rng.derive_seed(seed, rng.TAG_SPLIT), np.arange(n))
+    assert _same_bits(split_mask(n, 0.3, seed), u < 0.3)
+
+
+def test_classify_labels_of_wide_rows_does_not_depend_on_the_block_size(monkeypatch):
+    # 12 classes: numpy reduces rows of 8 or more, not row_reduce's columns
+    m = 12
+    confusion = np.full((m, m), 0.2 / (m - 1)) + np.eye(m) * (0.8 - 0.2 / (m - 1))
+    spec = ClassifierSpec(confusion, 4.0, 1.5, seed=3)
+    labels = draw_labels(4099, [1.0 / m] * m, seed=4)
+    want = classify_labels(labels, spec)
+    monkeypatch.setattr(grids, "_BLOCK_ROWS", _SMALL_BLOCK)
+    assert _same_bits(classify_labels(labels, spec), want)
+    assert _same_bits(classify_labels(labels, spec, np.float32), want.astype(np.float32))

@@ -21,6 +21,7 @@ import tracer  # noqa: E402
 
 from sscuq.cli import main  # noqa: E402
 from sscuq.container import read_grid  # noqa: E402
+from sscuq.grids import row_blocks  # noqa: E402
 from sscuq.pipeline import PipelineConfig, split_mask  # noqa: E402
 from sscuq.projection import _ray_segments, ray_direction  # noqa: E402
 
@@ -113,6 +114,10 @@ def test_each_command_opens_the_spans_of_the_layers_it_runs(run, tmp_path):
         "evaluate": ["evaluate", "--model", model, *data],
         "sweep": ["sweep", "--seed", "3", *data, "--score", "kl", "--targets", "0.5,0.8"],
     }
+    labels = read_grid(sim / "labels.sscg").flat()
+    cal = split_mask(labels.size, 0.3, 3)
+    blocks = list(row_blocks(labels.size))
+    records = {"calibrate": cal.sum(), "sweep": (cal & (labels == 5)).sum() + (~cal).sum()}
     t = tracer.Tracer()
     for command, argv in argvs.items():
         assert t.command(tracer.ROOT_SPAN, main, argv) == 0
@@ -123,10 +128,13 @@ def test_each_command_opens_the_spans_of_the_layers_it_runs(run, tmp_path):
             # geometry, mIoU, cov_gap, avg_size and one occupied recall per nonempty class
             assert names.count("metrics.report") == 4 + 4
         else:
-            # KL is scored once per record: calibrate's records in one call,
-            # sweep's rare-class records and test rows in one call each,
-            # whatever the number of targets.  Quantiles: calibrate's gate
-            # and three semantic ones, sweep's gate once per target.
-            kl, quantiles = {"calibrate": (1, 4), "sweep": (2, 2)}[command]
+            # KL is scored once per record, whatever the number of targets:
+            # calibrate's records in one call, sweep's rare-class records in
+            # one call and its test rows in one call per block of voxels.
+            # Quantiles: calibrate's gate and three semantic ones, sweep's
+            # gate once per target.
+            kl, quantiles = {"calibrate": (1, 4), "sweep": (1 + len(blocks), 2)}[command]
             assert names.count("conformal.score_kl") == kl
             assert names.count("conformal.conformal_quantile") == quantiles
+            kl = [sp for sp in t.spans if sp[4] == t.trace_id and sp[0] == "conformal.score_kl"]
+            assert sum(sp[5] for sp in kl) == records[command]  # the rows each span scored
