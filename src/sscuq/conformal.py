@@ -183,7 +183,8 @@ def split_alpha(alpha_target: float, alpha_o: float) -> float:
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Labeled softmax vectors: probs (N, M) with labels in {1..M}."""
+    """Labeled softmax vectors: probs (N, M) with labels in {1..M}.  Integer
+    labels keep their dtype (the grid's uint16, through ``from_grids``)."""
 
     probs: np.ndarray
     labels: np.ndarray
@@ -199,8 +200,10 @@ class CalibrationSet:
         check_softmax_rows(probs)
         if labels.shape != (probs.shape[0],):
             raise ValidationError("labels must be a vector matching probs rows")
-        check_labels(labels, probs.shape[1])  # before the int64 cast, which makes a NaN a number
-        set_fields(self, probs=probs, labels=labels.astype(np.int64, copy=False))
+        check_labels(labels, probs.shape[1])  # before any int64 cast, which makes a NaN a number
+        # integral floats, and uint64, which np.intp cannot hold safely, become int64
+        labels = labels if np.can_cast(labels.dtype, np.intp) else labels.astype(np.int64)
+        set_fields(self, probs=probs, labels=labels)
 
     @property
     def n(self) -> int:
@@ -231,16 +234,17 @@ def class_quantiles(scores, labels, alpha: Mapping[int, float]) -> dict[int, flo
     """
     quantiles = {}
     for y, a in alpha.items():
-        own = scores[labels == y]
-        quantiles[y] = conformal_quantile(own, a)
-        if quantiles[y] == math.inf:
-            warnings.warn(
-                f"class {y} has too few calibration records ({own.size}) for "
-                f"alpha={a}; its quantile is +inf",
-                DegeneracyWarning,
-                stacklevel=3,
-            )
+        quantiles[y] = _reachable_quantile(scores[labels == y], a, f"class {y}", stacklevel=4)
     return quantiles
+
+
+def _reachable_quantile(scores: np.ndarray, alpha: float, owner: str, stacklevel: int) -> float:
+    """``conformal_quantile``, with a DegeneracyWarning naming ``owner`` when it is +inf."""
+    q = conformal_quantile(scores, alpha)
+    if q == math.inf:
+        warnings.warn(f"{owner} has too few calibration records ({scores.size}) for "
+                      f"alpha={alpha}; its quantile is +inf", DegeneracyWarning, stacklevel)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +403,9 @@ class HcpModel(_Model):
 
 
 def scp_calibrate(cal: CalibrationSet, alpha: float) -> ScpModel:
-    """Marginal quantile of true-class scores 1 - f_Y."""
-    q = conformal_quantile(score_class(cal.probs, cal.labels), alpha)
+    """Marginal quantile of true-class scores 1 - f_Y; too few records for
+    ``alpha`` give +inf and raise a DegeneracyWarning."""
+    q = _reachable_quantile(score_class(cal.probs, cal.labels), alpha, "SCP", stacklevel=3)
     return ScpModel(class_count=cal.class_count, alpha=alpha, q=q)
 
 

@@ -95,17 +95,17 @@ def write_grid(grid, path, geometry: GridGeometry | None = None) -> None:
         header["voxel_edge"] = geometry.voxel_edge
         header["origin"] = geometry.origin
     head = json.dumps(encode(header), sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = [a.astype(dtype, copy=False).tobytes() for a in arrays]
-    prefix = [MAGIC, VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
-    atomic_write(path, b"".join(prefix + payload))
+    prefix = MAGIC + VERSION.to_bytes(4, "little") + len(head).to_bytes(8, "little")
+    # a plane already in the payload dtype is written from its own buffer
+    atomic_write(path, prefix, head, *(a.astype(dtype, copy=False) for a in arrays))
 
 
-def atomic_write(path, data: bytes | str) -> None:
-    """Write ``data`` (str as UTF-8) to a temporary file in the target
-    directory, then rename it to ``path``: no partial file is ever visible,
-    and a failed write removes the temporary file and raises an OSError
-    that names ``path``.  The file gets the permissions ``open`` would give
-    it (0o666 less the umask)."""
+def atomic_write(path, *parts) -> None:
+    """Write ``parts`` in order (a str as UTF-8, bytes or an array's buffer
+    as is) to a temporary file in the target directory, then rename it to
+    ``path``: no partial file is ever visible, and a failed write removes
+    the temporary file and raises an OSError that names ``path``.  The file
+    gets the permissions ``open`` would give it (0o666 less the umask)."""
     path = os.fspath(path)
     tmp = None
     umask = os.umask(0)
@@ -114,7 +114,8 @@ def atomic_write(path, data: bytes | str) -> None:
         fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=os.path.dirname(path) or ".")
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

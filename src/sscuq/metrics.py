@@ -174,14 +174,14 @@ def recall_iou_sweep(
     """Geometric-gate trade-off table across occupied-recall targets.
 
     For each target recall r, the gate is calibrated at error rate 1 - r
-    with the chosen score function (a key of ``GATE_SCORES``)
-    on the rare classes' calibration records, then scored on the
-    evaluation rows: the rows of ``probs`` (N, M) and their true
-    ``labels`` (N,) that the boolean ``mask`` (N,) selects.  Reported:
-    achieved occupied recall of the rare class (minimum over the rare set
-    when it has several members) and occupancy IoU.  The evaluation rows
-    are scored one block at a time, keeping only each row's gate decision
-    at every target.
+    with the chosen score function (a key of ``GATE_SCORES``): each rare
+    class's quantile ranks that class's records in ``cal``, whatever else
+    it holds.  The gate is then scored on the evaluation rows: the rows of
+    ``probs`` (N, M) and their true ``labels`` (N,) that the boolean
+    ``mask`` (N,) selects.  Reported: achieved occupied recall of the rare
+    class (minimum over the rare set when it has several members) and
+    occupancy IoU.  The evaluation rows are scored one block at a time,
+    keeping only each row's gate decision at every target.
     """
     if score_kind not in GATE_SCORES:
         raise ValueError(f"unknown score kind {score_kind!r}")
@@ -192,14 +192,10 @@ def recall_iou_sweep(
     rare = sorted(cfg.rare_set)
     score = GATE_SCORES[score_kind]
 
-    # no score depends on the target: score the rare classes' calibration
-    # records and each evaluation row once.  With kind="sort", isin compares
-    # a few classes one at a time; its default table method builds more
-    # arrays per record
-    in_rare = np.isin(cal.labels, rare, kind="sort")
-    cal_labels = cal.labels[in_rare]
-    cal_scores = score(cal.probs[in_rare], cal_labels, cfg)
-    q = [class_quantiles(cal_scores, cal_labels, dict.fromkeys(rare, 1.0 - t)) for t in targets]
+    # no score depends on the target: score the calibration records and
+    # each evaluation row once
+    cal_scores = score(cal.probs, cal.labels, cfg)
+    q = [class_quantiles(cal_scores, cal.labels, dict.fromkeys(rare, 1.0 - t)) for t in targets]
 
     def gate(f):  # (rows, targets): does the row pass the gate at the target?
         passed = np.zeros((f.shape[0], len(targets)), dtype=bool)

@@ -390,7 +390,9 @@ def run_sweep(
     """Recall/IoU trade-off of the geometric gate on the test split."""
     softmax, labels = _load_pair(softmax_path, labels_path)
     mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
-    # the gate ranks the rare classes' calibration records only
+    # the gate ranks the rare classes' calibration records only.  With
+    # kind="sort", isin compares a few classes one at a time; its default
+    # table method builds more arrays per record
     rare = np.isin(labels.flat(), sorted(cfg.hcp.rare_set), kind="sort")
     cal = CalibrationSet.from_grids(softmax, labels, mask=mask & rare)
     with _degeneracies() as notes:

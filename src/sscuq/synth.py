@@ -10,6 +10,7 @@ the conformal guarantees downstream worth testing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -219,17 +220,14 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
     total = geom.voxel_count
     labels = np.ones(geom.dims, dtype=np.uint16)
     stream = rng.derive_seed(spec.seed, rng.TAG_SCENE)
-    counter = 0
-    block: list[float] = []
-
-    def draw() -> float:
-        # draw k is uniforms(stream, [k]) whatever the block size
-        nonlocal counter, block
-        i = counter % _DRAW_BLOCK
-        if i == 0:
-            block = rng.uniforms(stream, np.arange(counter, counter + _DRAW_BLOCK)).tolist()
-        counter += 1
-        return block[i]
+    # the scalars in order, one block of counters per rng call: draw k is
+    # uniforms(stream, [k]) whatever the block size
+    draws = (
+        u
+        for start in itertools.count(0, _DRAW_BLOCK)
+        for u in rng.uniforms(stream, np.arange(start, start + _DRAW_BLOCK)).tolist()
+    )
+    draw = draws.__next__
 
     def draw_size(lo: float, hi: float) -> int:
         return _voxels(lo + (hi - lo) * draw(), edge)

@@ -268,6 +268,30 @@ def test_strict_escalates_an_unreachable_hcp_semantic_quantile(tmp_path):
     assert json.loads((tmp_path / "strict.json").read_text())["q_s"]["5"] == "inf"
 
 
+def test_strict_escalates_an_unreachable_scp_quantile(tmp_path, sim_dir):
+    # SCP's one rate is the strictest class target: at 1e-5 the rank it
+    # needs is past every calibration record
+    out, _ = sim_dir
+    argv = [
+        "calibrate", "--method", "scp", "--seed", "21",
+        "--softmax", str(out / "softmax.sscg"),
+        "--labels", str(out / "labels.sscg"),
+        "--alpha-target", "person=0.00001",
+    ]
+    lenient = run_cli(*argv, "--out", str(tmp_path / "lenient.json"))
+    assert lenient.returncode == 0, lenient.stderr
+    strict = run_cli(*argv, "--out", str(tmp_path / "strict.json"), "--strict")
+    assert strict.returncode == 4, (strict.stdout, strict.stderr)
+    summary = json.loads(strict.stdout)
+    assert summary["warnings"] == [
+        f"SCP has too few calibration records ({summary['calibration_records']}) "
+        "for alpha=1e-05; its quantile is +inf"
+    ]
+    assert json.loads(lenient.stdout)["warnings"] == summary["warnings"]
+    assert (tmp_path / "strict.json").read_bytes() == (tmp_path / "lenient.json").read_bytes()
+    assert json.loads((tmp_path / "strict.json").read_text())["q"] == "inf"
+
+
 def test_strict_escalates_degenerate_sweep_target(tmp_path, sim_dir):
     out, _ = sim_dir
     argv = [

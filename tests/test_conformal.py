@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,24 @@ def test_scp_infinite_quantile_gives_full_set():
     model = ScpModel(class_count=3, alpha=0.1, q=math.inf)
     _, member = model.predict(np.array([[0.2, 0.3, 0.5]]))
     assert _members(member[0]) == {1, 2, 3}
+
+
+def test_scp_unreachable_quantile_warns_with_the_record_count_and_rate():
+    # 50 records reach rank ceil(51 * 0.99) = 51 > 50 only as +inf
+    cal = _one_hot_set(50, 4)
+    with pytest.warns(DegeneracyWarning) as rec:
+        model = scp_calibrate(cal, 0.01)
+    assert model.q == math.inf
+    assert [str(w.message) for w in rec] == [
+        "SCP has too few calibration records (50) for alpha=0.01; its quantile is +inf"
+    ]
+    assert rec[0].filename == __file__  # attributed to the calibrator's caller
+
+
+def test_scp_reachable_quantile_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegeneracyWarning)
+        assert scp_calibrate(_one_hot_set(50, 4), 0.1).q == 0.0
 
 
 def test_scp_marginal_coverage_statistical():

@@ -1,13 +1,15 @@
-"""Allocation bounds of the container reader, the row kernels and the
-per-voxel passes of the commands.
+"""Allocation bounds of the container reader and writer, the calibration
+records, the row kernels and the per-voxel passes of the commands.
 
 ``tracemalloc`` sees numpy's array buffers, so these bounds count bytes,
-not time: reading a container allocates its payload once, a row kernel
-allocates its outputs plus a few blocks of float64 rows, never a float64
-copy of its whole input, and checking valid integer labels allocates no
-mask.  The split mask, the surrogate classifier, ``evaluate`` and
-``sweep`` walk voxels in blocks too: each allocates its compact outputs
-plus a few blocks, never a copy of the test rows.
+not time: reading a container allocates its payload once and writing one
+allocates no copy of it, calibration records keep the grid's uint16
+labels, a row kernel allocates its outputs plus a few blocks of float64
+rows, never a float64 copy of its whole input, and checking valid
+integer labels allocates no mask.  The split mask, the surrogate
+classifier, ``evaluate`` and ``sweep`` walk voxels in blocks too: each
+allocates its compact outputs plus a few blocks, never a copy of the
+test rows.
 """
 
 import tracemalloc
@@ -15,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sscuq.conformal import HcpModel, score_kl
+from sscuq.conformal import CalibrationSet, HcpModel, score_kl
 from sscuq.container import read_grid, write_grid
 from sscuq.grids import _BLOCK_ROWS, LabelGrid, SoftmaxGrid, check_labels
 from sscuq.pipeline import PipelineConfig, run_calibrate, run_evaluate, run_sweep, split_mask
@@ -56,6 +58,14 @@ def test_read_grid_allocates_the_payload_once(tmp_path):
     grid, peak = _peak_allocation(read_grid, tmp_path / "s.sscg")
     assert grid.probs.nbytes == payload
     assert peak <= payload + MB, peak
+
+
+def test_write_grid_writes_each_plane_from_its_own_buffer(tmp_path):
+    dims = (32, 64, 100)  # 204,800 voxels: a 4 MB payload
+    grid = SoftmaxGrid(_float32_rows(np.prod(dims)).reshape(*dims, M))
+    _, peak = _peak_allocation(write_grid, grid, tmp_path / "s.sscg")
+    assert peak < 64 << 10, peak  # no copy of the payload, whole or in part
+    assert read_grid(tmp_path / "s.sscg").probs.tobytes() == grid.probs.tobytes()
 
 
 def test_score_kl_allocates_its_output_and_a_few_blocks(rows):
@@ -101,6 +111,18 @@ def scene_grids():
     mix = [0.931, 0.0156, 0.030, 0.0164, 0.007]  # the default scene's targets
     labels = LabelGrid(draw_labels(np.prod(dims), mix, 1).reshape(dims), class_count=M)
     return labels, synth_classifier(labels, default_classifier_spec(0))
+
+
+def test_calibration_set_from_grids_copies_its_rows_and_uint16_labels_once(scene_grids):
+    labels, softmax = scene_grids
+    mask = np.ones(labels.labels.size, dtype=bool)  # every voxel a record
+    cal, peak = _peak_allocation(CalibrationSet.from_grids, softmax, labels, mask)
+    assert cal.labels.dtype == np.uint16
+    # numpy takes rows by a boolean mask through an index array of one intp
+    # per record; the labels are taken once it is freed
+    index = cal.n * np.dtype(np.intp).itemsize
+    assert peak <= cal.probs.nbytes + max(index, cal.labels.nbytes) + BLOCK, peak
+    assert cal.n * (2 + 8) > index + BLOCK  # an int64 copy of the labels would not fit
 
 
 def test_synth_classifier_allocates_its_float32_output_and_a_few_blocks(scene_grids):

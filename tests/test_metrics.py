@@ -181,6 +181,11 @@ def test_sweep_with_two_rare_classes_matches_a_per_class_oracle(kind):
             pred |= score(test_probs, y) <= q
         recall = min(pred[test_labels == y].mean() for y in (4, 5))
         assert row == (target, recall, geometry_metrics_from_masks(pred, test_labels >= 2).iou)
+    # handed only the rare classes' records, as `sweep` does, it ranks the same ones
+    rare = np.isin(cal.labels, [4, 5])
+    rare_cal = CalibrationSet(cal.probs[rare], cal.labels[rare])
+    rare_rows = recall_iou_sweep(softmax.flat(), world.flat(), ~mask, rare_cal, cfg, kind, targets)
+    assert rare_rows == rows
 
 
 def test_sweep_rejects_bad_targets():
