@@ -31,7 +31,8 @@ import numpy as np
 from .container import read_json, write_json
 from .grids import (
     LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_class_count, check_labels,
-    check_softmax_rows, check_softmax_shape, decode, encode, row_blocks, row_reduce, set_fields,
+    check_softmax_rows, check_softmax_shape, decode, encode, map_rows, row_blocks, row_reduce,
+    set_fields,
 )
 
 __all__ = [
@@ -77,12 +78,17 @@ def score_class(f, y):
     f = check_softmax_shape(f)
     y = np.asarray(y)
     check_labels(y, f.shape[-1])
-    if y.ndim == 0:
-        column = f[..., int(y) - 1]
-    else:
-        column = np.take_along_axis(f, (y - 1)[..., None], axis=-1)[..., 0]
     # float64 in the ufunc's loop: the only float64 array made is the result
-    return np.subtract(1.0, column, dtype=np.float64)
+    if y.ndim == 0:
+        return np.subtract(1.0, f[..., int(y) - 1], dtype=np.float64)
+    if y.shape != f.shape[:-1]:
+        raise ValidationError(f"labels {y.shape} do not match vectors {f.shape}")
+    rows, labels = f.reshape(-1, f.shape[-1]), y.reshape(-1)
+    out = np.empty(labels.size)
+    for block in row_blocks(labels.size):  # each block indexes its own label column
+        column = np.take_along_axis(rows[block], (labels[block] - 1)[:, None], axis=1)[:, 0]
+        np.subtract(1.0, column, dtype=np.float64, out=out[block])
+    return out.reshape(y.shape)
 
 
 def score_occupied(f):
@@ -216,13 +222,17 @@ class CalibrationSet:
     @classmethod
     def from_grids(cls, grid: SoftmaxGrid, labels: LabelGrid, mask) -> "CalibrationSet":
         """Collect (vector, label) records of the voxels that ``mask``
-        (boolean grid or flat boolean array) selects from aligned grids."""
+        (boolean grid or flat boolean array) selects from aligned grids.
+        ``grid`` is a ``SoftmaxGrid`` or a container's ``SoftmaxRows``: its
+        rows are gathered one ``row_blocks`` block at a time into one
+        float32 array, with no index array over the whole selection."""
         check_aligned(grid, labels)
-        probs, labs = grid.flat(), labels.flat()
+        labs = labels.flat()
         mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.shape != labs.shape:
             raise ValidationError("mask size must match the voxel count")
-        return cls(probs[mask], labs[mask])
+        rows = np.empty((np.count_nonzero(mask), grid.class_count), dtype=np.float32)
+        return cls(map_rows(lambda f: (f,), grid.flat(), mask, (rows,))[0], labs[mask])
 
 
 def class_quantiles(scores, labels, alpha: Mapping[int, float]) -> dict[int, float]:

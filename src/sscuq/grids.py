@@ -213,9 +213,11 @@ def row_blocks(n: int):
     return (slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS))
 
 
-def map_rows(fn, rows: np.ndarray, mask: np.ndarray, outs: tuple) -> tuple:
+def map_rows(fn, rows, mask: np.ndarray, outs: tuple) -> tuple:
     """Fill ``outs`` from the rows of ``rows`` that the boolean ``mask``
     selects, one ``row_blocks`` block at a time, and return them.
+    ``rows`` is an array, or any object whose ``[block]`` gives one (the
+    rows of a softmax container read in blocks).
 
     ``fn`` is called on each block's selected rows, also when a block
     selects none, and returns one array per output with one entry per row
@@ -235,22 +237,39 @@ def map_rows(fn, rows: np.ndarray, mask: np.ndarray, outs: tuple) -> tuple:
 def check_softmax_shape(f) -> np.ndarray:
     """``f`` as an array of vectors (..., M), M >= 2; its values unchecked."""
     f = np.asarray(f)
-    if f.ndim == 0 or f.shape[-1] < 2:
-        raise ValidationError("softmax vectors need at least 2 classes")
+    _check_class_axis(f.shape)
     return f
 
 
-def check_softmax_rows(probs: np.ndarray) -> None:
-    """Raise ValidationError unless the rows of ``probs`` (..., M) are
-    softmax vectors: M >= 2 (``check_softmax_shape``), no negative entry,
-    and each row summing (in float64) to 1 within ``SOFTMAX_SUM_TOL``.  A
-    negative entry anywhere is reported ahead of a bad row sum."""
-    rows = check_softmax_shape(probs).reshape(-1, probs.shape[-1])
+def _check_class_axis(shape) -> None:
+    if not shape or shape[-1] < 2:
+        raise ValidationError("softmax vectors need at least 2 classes")
+
+
+def check_softmax_grid(shape) -> None:
+    """Raise ValidationError unless ``shape`` is a softmax grid's: (U, V, D, M)
+    with positive dims and M >= 2."""
+    if len(shape) != 4 or any(n < 1 for n in shape[:3]):
+        raise ValidationError("softmax grid must be a 4-d array with positive dims")
+    _check_class_axis(shape)
+
+
+def check_softmax_rows(rows) -> None:
+    """Raise ValidationError unless ``rows`` (n, M) are softmax vectors:
+    M >= 2, no negative entry, and each row summing (in float64) to 1
+    within ``SOFTMAX_SUM_TOL``.  A negative entry anywhere is reported
+    ahead of a bad row sum.
+
+    ``rows`` is read one ``row_blocks`` block at a time, so it is an array
+    or any object whose ``shape`` and ``[block]`` answer as one's: the rows
+    of a softmax container read in blocks."""
+    _check_class_axis(rows.shape)
     bad_sum = False
     for block in row_blocks(rows.shape[0]):
-        if np.any(rows[block] < 0):
+        f = rows[block]
+        if np.any(f < 0):
             raise ValidationError("softmax entries must be non-negative")
-        sums = row_reduce(np.add, rows[block], dtype=np.float64)
+        sums = row_reduce(np.add, f, dtype=np.float64)
         bad_sum |= not np.all(np.abs(sums - 1.0) <= SOFTMAX_SUM_TOL)
     if bad_sum:
         raise ValidationError(f"softmax vectors must sum to 1 within {SOFTMAX_SUM_TOL}")
@@ -450,9 +469,8 @@ class SoftmaxGrid:
 
     def __post_init__(self):
         set_fields(self, probs=np.asarray(self.probs, dtype=np.float32))
-        if self.probs.ndim != 4 or any(n < 1 for n in self.dims):
-            raise ValidationError("softmax grid must be a 4-d array with positive dims")
-        check_softmax_rows(self.probs)
+        check_softmax_grid(self.probs.shape)
+        check_softmax_rows(self.flat())
 
     @property
     def dims(self) -> tuple[int, int, int]:

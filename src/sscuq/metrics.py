@@ -163,7 +163,7 @@ def check_targets(targets: Sequence) -> list[float]:
 
 
 def recall_iou_sweep(
-    probs: np.ndarray,
+    probs,
     labels: np.ndarray,
     mask: np.ndarray,
     cal: CalibrationSet,
@@ -177,8 +177,8 @@ def recall_iou_sweep(
     with the chosen score function (a key of ``GATE_SCORES``): each rare
     class's quantile ranks that class's records in ``cal``, whatever else
     it holds.  The gate is then scored on the evaluation rows: the rows of
-    ``probs`` (N, M) and their true ``labels`` (N,) that the boolean
-    ``mask`` (N,) selects.  Reported: achieved occupied recall of the rare
+    ``probs`` (N, M), an array or a container's ``SoftmaxRows``, and their
+    true ``labels`` (N,) that the boolean ``mask`` (N,) selects.  Reported: achieved occupied recall of the rare
     class (minimum over the rare set when it has several members) and
     occupancy IoU.  The evaluation rows are scored one block at a time,
     keeping only each row's gate decision at every target.

@@ -257,10 +257,15 @@ def run_project(
     }
 
 
+@contextlib.contextmanager
 def _load_pair(softmax_path: str, labels_path: str):
-    pair = read_grid(softmax_path, "softmax"), read_grid(labels_path, "labels")
-    check_aligned(*pair)
-    return pair
+    """Yield the softmax rows, read one block at a time from the open file,
+    and the labels of two aligned containers; the softmax file is closed
+    when the block ends."""
+    with read_grid(softmax_path, "softmax", blocks=True) as softmax:
+        labels = read_grid(labels_path, "labels")
+        check_aligned(softmax, labels)
+        yield softmax, labels
 
 
 @contextlib.contextmanager
@@ -303,9 +308,9 @@ def run_calibrate(
     """Calibrate ``method`` (a key of ``CALIBRATORS``) on the calibration
     split and write model JSON."""
     calibrate = CALIBRATORS[method]
-    softmax, labels = _load_pair(softmax_path, labels_path)
-    mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
-    cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
+    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+        mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
+        cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
 
     with _degeneracies() as notes:
         model = calibrate(cal, cfg.hcp)
@@ -333,17 +338,17 @@ def run_evaluate(
     # the split is configuration (exit 2); without it the test voxels are unknown
     split = decode(_Split, extra.get("split", {}), "model.split", ConfigError)
 
-    softmax, labels = _load_pair(softmax_path, labels_path)
-    test = ~split_mask(labels.labels.size, split.fraction, split.seed)
-    labs = labels.flat()[test]
-    n, m = labs.size, model.class_count
-    # one block of test rows is predicted at a time; only per-row results stay
-    occ, member, argmax_labels = map_rows(
-        lambda f: (*model.predict(f), f.argmax(axis=1)),
-        softmax.flat(),
-        test,
-        (np.empty(n, dtype=bool), np.empty((n, m), dtype=bool), np.empty(n, dtype=np.uint16)),
-    )
+    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+        test = ~split_mask(labels.labels.size, split.fraction, split.seed)
+        labs = labels.flat()[test]
+        n, m = labs.size, model.class_count
+        # one block of test rows is predicted at a time; only per-row results stay
+        occ, member, argmax_labels = map_rows(
+            lambda f: (*model.predict(f), f.argmax(axis=1)),
+            softmax.flat(),
+            test,
+            (np.empty(n, dtype=bool), np.empty((n, m), dtype=bool), np.empty(n, dtype=np.uint16)),
+        )
     argmax_labels += 1
     coverage = class_coverage(member, labs)
 
@@ -388,17 +393,17 @@ def run_sweep(
     out_csv: str | None = None,
 ) -> dict:
     """Recall/IoU trade-off of the geometric gate on the test split."""
-    softmax, labels = _load_pair(softmax_path, labels_path)
-    mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
-    # the gate ranks the rare classes' calibration records only.  With
-    # kind="sort", isin compares a few classes one at a time; its default
-    # table method builds more arrays per record
-    rare = np.isin(labels.flat(), sorted(cfg.hcp.rare_set), kind="sort")
-    cal = CalibrationSet.from_grids(softmax, labels, mask=mask & rare)
-    with _degeneracies() as notes:
-        rows = recall_iou_sweep(
-            softmax.flat(), labels.flat(), ~mask, cal, cfg.hcp, score_kind, targets
-        )
+    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+        mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
+        # the gate ranks the rare classes' calibration records only.  With
+        # kind="sort", isin compares a few classes one at a time; its default
+        # table method builds more arrays per record
+        rare = np.isin(labels.flat(), sorted(cfg.hcp.rare_set), kind="sort")
+        cal = CalibrationSet.from_grids(softmax, labels, mask=mask & rare)
+        with _degeneracies() as notes:
+            rows = recall_iou_sweep(
+                softmax.flat(), labels.flat(), ~mask, cal, cfg.hcp, score_kind, targets
+            )
     if out_csv:
         _write_csv(out_csv, [["target_recall", "achieved_recall", "iou"], *rows])
     return {

@@ -2,8 +2,10 @@ import argparse
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sscuq import pipeline
 from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.conformal import _MODEL_TYPES, load_model
 from sscuq.container import read_grid
@@ -994,6 +997,63 @@ def test_project_of_a_grid_that_is_no_depth_map_names_its_kind(tmp_path, sim_dir
     wanted = "depth_estimate or depth" if binary else "depth_estimate"
     assert json.loads(err)["error"] == f"{grid} holds a softmax container, not {wanted}"
     assert not out_path.exists()
+
+
+# a file a command leaves open fails the test that ran it
+closes_its_files = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+def _softmax_commands(data, model, out):
+    """argv of calibrate, evaluate and sweep on ``data``, each writing ``out``."""
+    return {
+        "calibrate": ["calibrate", *data, "--out", out],
+        "evaluate": ["evaluate", "--model", model, *data, "--out-json", out],
+        "sweep": ["sweep", *data, "--targets", "0.5,0.9", "--out", out],
+    }
+
+
+@closes_its_files
+@pytest.mark.parametrize("command", ["calibrate", "evaluate", "sweep"])
+def test_a_softmax_that_shrinks_after_it_is_opened_exits_3_and_writes_nothing(
+    tmp_path, sim_dir, capsys, monkeypatch, command
+):
+    out, _ = sim_dir
+    softmax = tmp_path / "softmax.sscg"
+    softmax.write_bytes((out / "softmax.sscg").read_bytes())
+    data = ["--softmax", str(softmax), "--labels", str(out / "labels.sscg")]
+    model = str(tmp_path / "hcp.json")
+    assert main(["calibrate", *data, "--out", model]) == 0
+    opened = pipeline.read_grid
+
+    def read_then_shrink(path, *kinds, **options):
+        grid = opened(path, *kinds, **options)
+        if kinds == ("softmax",):  # the file is open and checked: cut its last block
+            os.truncate(path, os.path.getsize(path) - 100)
+        return grid
+
+    monkeypatch.setattr(pipeline, "read_grid", read_then_shrink)
+    written = tmp_path / "written"
+    code, err = _main(capsys, *_softmax_commands(data, model, str(written))[command])
+    assert code == 3, err
+    # 64 x 64 x 16 voxels: the fourth block of 16,384 rows is 100 bytes short
+    assert json.loads(err)["error"] == "rows 49152..65535: read 327580 of 327680 bytes"
+    assert not written.exists()
+
+
+@closes_its_files
+@pytest.mark.parametrize("labels, exit_code", [("labels", 0), ("depth_est", 3), ("missing", 3)])
+def test_each_command_closes_the_softmax_file(tmp_path, sim_dir, capsys, labels, exit_code):
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / f"{labels}.sscg")]
+    model = str(tmp_path / "hcp.json")
+    good = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    assert main(["calibrate", *good, "--out", model]) == 0
+    for command, argv in _softmax_commands(data, model, str(tmp_path / "written")).items():
+        code, err = _main(capsys, *argv)
+        assert code == exit_code, (command, err)
+    gc.collect()  # a file left open in a reference cycle warns here
 
 
 @pytest.mark.parametrize(

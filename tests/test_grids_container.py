@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sscuq import grids
 from sscuq.container import (
     FormatError,
+    SoftmaxRows,
     TruncationError,
     read_grid,
     write_grid,
@@ -22,6 +25,7 @@ from sscuq.grids import (
     ProbOccupancyGrid,
     SoftmaxGrid,
     ValidationError,
+    row_blocks,
     row_reduce,
 )
 from sscuq.conformal import CalibrationSet, score_class
@@ -516,6 +520,123 @@ def test_header_fully_determines_payload_length(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(TruncationError):
         read_grid(path)
+
+
+# ---------------------------------------------------------------------------
+# softmax rows read in blocks from the open file
+
+# a file the reader leaves open fails the test that opened it
+closes_its_files = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@pytest.fixture
+def seven_row_blocks(monkeypatch):
+    monkeypatch.setattr(grids, "_BLOCK_ROWS", 7)
+    return 7
+
+
+def _softmax_rows(n: int, m: int = 3) -> np.ndarray:
+    f = np.random.default_rng(n).dirichlet(np.ones(m), size=n).astype(np.float32)
+    f[:, 0] = 1.0 - f[:, 1:].sum(axis=1)  # sums to 1 within float32 error
+    return f
+
+
+@closes_its_files
+def test_blocks_are_the_rows_of_the_whole_read(tmp_path, seven_row_blocks):
+    path = tmp_path / "s.sscg"
+    write_grid(SoftmaxGrid(_softmax_rows(60).reshape(3, 4, 5, 3)), path)
+    whole = read_grid(path)
+    with read_grid(path, "softmax", blocks=True) as rows:
+        assert (rows.dims, rows.class_count) == (whole.dims, whole.class_count) == ((3, 4, 5), 3)
+        assert rows.flat().shape == whole.flat().shape == (60, 3)
+        blocks = [rows.flat()[block] for block in row_blocks(60)]
+        assert len(blocks) == 9
+        for block in blocks:  # each a fresh array of its own
+            assert block.dtype == np.float32 and block.flags.owndata and block.flags.writeable
+        assert np.concatenate(blocks).tobytes() == whole.probs.tobytes()
+    assert rows._fh.closed
+
+
+@closes_its_files
+def test_a_truncated_payload_is_refused_before_any_block_is_read(tmp_path, monkeypatch):
+    path = tmp_path / "s.sscg"
+    write_grid(SoftmaxGrid(_softmax_rows(60).reshape(3, 4, 5, 3)), path)
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(SoftmaxRows, "__getitem__", lambda *a: pytest.fail("a block was read"))
+    with pytest.raises(TruncationError, match="payload of 716 bytes, header implies 720"):
+        read_grid(path, "softmax", blocks=True)
+
+
+@closes_its_files
+def test_a_file_that_shrinks_after_it_is_opened_raises_on_the_short_read(tmp_path, seven_row_blocks):
+    path = tmp_path / "s.sscg"
+    write_grid(SoftmaxGrid(_softmax_rows(60).reshape(3, 4, 5, 3)), path)
+    with read_grid(path, "softmax", blocks=True) as rows:
+        os.truncate(path, os.path.getsize(path) - 12 * 25)  # rows 35.. are gone
+        assert rows.flat()[slice(28, 35)].shape == (7, 3)
+        with pytest.raises(TruncationError, match=r"rows 35\.\.41: read 0 of 84 bytes"):
+            rows.flat()[slice(35, 42)]
+        with pytest.raises(TruncationError, match=r"rows 53\.\.59: read 0 of 84 bytes"):
+            rows.flat()[slice(53, 60)]
+
+
+@closes_its_files
+@pytest.mark.parametrize("blocks", [True, False])
+def test_a_negative_entry_in_the_last_block_is_reported_ahead_of_a_bad_sum_in_the_first(
+    tmp_path, seven_row_blocks, blocks
+):
+    f = _softmax_rows(30)
+    f[0, 0] += 1e-3  # block 0 sums badly
+    f[29] = (0.5, -0.25, 0.75)  # block 4 holds a negative entry
+    header = _header("softmax", "float32", class_count=3, dims=[2, 3, 5])
+    path = _write_raw(tmp_path / "s.sscg", header, f.astype("<f4").tobytes())
+    with pytest.raises(ValidationError, match="softmax entries must be non-negative"):
+        read_grid(path, *(("softmax",) if blocks else ()), blocks=blocks)
+    f[29] = (0.5, 0.25, 0.25)  # the bad sum alone
+    path = _write_raw(tmp_path / "s.sscg", header, f.astype("<f4").tobytes())
+    with pytest.raises(ValidationError, match="softmax vectors must sum to 1"):
+        read_grid(path, *(("softmax",) if blocks else ()), blocks=blocks)
+
+
+@closes_its_files
+@pytest.mark.parametrize(
+    "dims, count, message",
+    [([2, 3], 3, "4-d array"), ([2, 3, 5, 1], 3, "4-d array"), ([2, 3, 5], 1, "at least 2 classes")],
+)
+def test_blocks_refuse_the_shapes_a_softmax_grid_refuses(tmp_path, dims, count, message):
+    header = _header("softmax", "float32", class_count=count, dims=dims)
+    payload = np.full((np.prod(dims), count), 1.0 / count, "<f4").tobytes()
+    path = _write_raw(tmp_path / "s.sscg", header, payload)
+    for kinds, blocks in ((("softmax",), True), ((), False)):
+        with pytest.raises(ValidationError, match=message):
+            read_grid(path, *kinds, blocks=blocks)
+
+
+@closes_its_files
+@pytest.mark.parametrize(
+    "index", [3, -1, [0, 1], np.arange(7), Ellipsis, (slice(0, 7), 0), slice(0, 8), slice(0, 14, 2)]
+)
+def test_an_index_that_is_not_one_block_of_rows_is_refused(tmp_path, seven_row_blocks, index):
+    path = tmp_path / "s.sscg"
+    write_grid(SoftmaxGrid(_softmax_rows(60).reshape(3, 4, 5, 3)), path)
+    with read_grid(path, "softmax", blocks=True) as rows:
+        error = IndexError if isinstance(index, slice) else TypeError
+        with pytest.raises(error, match="softmax rows are read"):
+            rows.flat()[index]
+        assert rows.flat()[slice(56, 63)].shape == (4, 3)  # the short last block
+
+
+@closes_its_files
+def test_only_a_softmax_container_is_read_in_blocks(tmp_path):
+    path = tmp_path / "l.sscg"
+    write_grid(LabelGrid(np.ones((1, 1, 2)), class_count=2), path)
+    for kinds in ((), ("labels",), ("softmax", "labels")):
+        with pytest.raises(ValueError, match="pass the kind 'softmax'"):
+            read_grid(path, *kinds, blocks=True)
+    with pytest.raises(ValidationError, match="holds a labels container, not softmax"):
+        read_grid(path, "softmax", blocks=True)
 
 
 # ---------------------------------------------------------------------------

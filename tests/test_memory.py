@@ -4,12 +4,14 @@ records, the row kernels and the per-voxel passes of the commands.
 ``tracemalloc`` sees numpy's array buffers, so these bounds count bytes,
 not time: reading a container allocates its payload once and writing one
 allocates no copy of it, calibration records keep the grid's uint16
-labels, a row kernel allocates its outputs plus a few blocks of float64
-rows, never a float64 copy of its whole input, and checking valid
-integer labels allocates no mask.  The split mask, the surrogate
-classifier, ``evaluate`` and ``sweep`` walk voxels in blocks too: each
-allocates its compact outputs plus a few blocks, never a copy of the
-test rows.
+labels and are gathered with no index array, a row kernel allocates its
+outputs plus a few blocks of float64 rows, never a float64 copy of its
+whole input, and checking valid integer labels allocates no mask.  The
+split mask, the surrogate classifier, ``calibrate``, ``evaluate`` and
+``sweep`` walk voxels in blocks too: each allocates its compact outputs
+plus a few blocks.  The commands read the softmax rows from the open
+container one block at a time, so no bound of theirs holds the softmax
+payload.
 """
 
 import tracemalloc
@@ -17,10 +19,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sscuq.conformal import CalibrationSet, HcpModel, score_kl
+from sscuq.conformal import CalibrationSet, HcpModel, score_class, score_kl
 from sscuq.container import read_grid, write_grid
 from sscuq.grids import _BLOCK_ROWS, LabelGrid, SoftmaxGrid, check_labels
-from sscuq.pipeline import PipelineConfig, run_calibrate, run_evaluate, run_sweep, split_mask
+from sscuq.pipeline import (
+    CALIBRATORS, PipelineConfig, run_calibrate, run_evaluate, run_sweep, split_mask,
+)
 from sscuq.synth import default_classifier_spec, draw_labels, synth_classifier
 
 M = 5
@@ -73,6 +77,14 @@ def test_score_kl_allocates_its_output_and_a_few_blocks(rows):
     assert peak <= scores.nbytes + 4 * BLOCK, peak
 
 
+def test_score_class_of_one_label_per_row_allocates_its_output_and_a_few_blocks(rows):
+    labels = np.arange(rows.shape[0], dtype=np.uint16) % M + 1
+    scores, peak = _peak_allocation(score_class, rows, labels)
+    # no index array over the whole label column, as take_along_axis builds
+    assert peak <= scores.nbytes + BLOCK, peak
+    assert rows.shape[0] * np.dtype(np.intp).itemsize > BLOCK
+
+
 def test_hcp_predict_allocates_its_outputs_and_a_few_blocks(rows):
     model = HcpModel(
         class_count=M,
@@ -118,11 +130,11 @@ def test_calibration_set_from_grids_copies_its_rows_and_uint16_labels_once(scene
     mask = np.ones(labels.labels.size, dtype=bool)  # every voxel a record
     cal, peak = _peak_allocation(CalibrationSet.from_grids, softmax, labels, mask)
     assert cal.labels.dtype == np.uint16
-    # numpy takes rows by a boolean mask through an index array of one intp
-    # per record; the labels are taken once it is freed
-    index = cal.n * np.dtype(np.intp).itemsize
-    assert peak <= cal.probs.nbytes + max(index, cal.labels.nbytes) + BLOCK, peak
-    assert cal.n * (2 + 8) > index + BLOCK  # an int64 copy of the labels would not fit
+    # the rows are gathered a block at a time: no index array of one intp
+    # per record, which numpy builds to take 2-d rows by a boolean mask
+    assert peak <= cal.probs.nbytes + cal.labels.nbytes + BLOCK, peak
+    assert cal.n * np.dtype(np.intp).itemsize > BLOCK  # such an index would not fit
+    assert cal.n * (8 - 2) > BLOCK  # nor would an int64 copy of the labels
 
 
 def test_synth_classifier_allocates_its_float32_output_and_a_few_blocks(scene_grids):
@@ -135,36 +147,50 @@ def test_synth_classifier_allocates_its_float32_output_and_a_few_blocks(scene_gr
 @pytest.fixture(scope="module")
 def containers(scene_grids, tmp_path_factory):
     """The grids as containers, an HCP model calibrated on them, the
-    payload bytes a command reads, and the numbers of voxels and of test
-    voxels."""
+    bytes of the label payload (a command reads it whole), and the
+    numbers of voxels and of test voxels."""
     labels, softmax = scene_grids
     out = tmp_path_factory.mktemp("containers")
     paths = str(out / "softmax.sscg"), str(out / "labels.sscg")
     write_grid(softmax, paths[0])
     write_grid(labels, paths[1])
     run_calibrate(*paths, PipelineConfig.default(0), "hcp", str(out / "hcp.json"))
-    payload = softmax.probs.nbytes + labels.labels.nbytes
     n = labels.labels.size
-    return paths, str(out / "hcp.json"), payload, n, int((~split_mask(n, 0.3, 0)).sum())
+    n_test = int((~split_mask(n, 0.3, 0)).sum())
+    return paths, str(out / "hcp.json"), labels.labels.nbytes, n, n_test
+
+
+@pytest.mark.parametrize("method", sorted(CALIBRATORS))
+def test_calibrate_holds_its_records_and_no_copy_of_the_softmax(containers, method, tmp_path):
+    (softmax, labels), _, label_bytes, n, n_test = containers
+    cfg = PipelineConfig.default(0)
+    args = (softmax, labels, cfg, method, str(tmp_path / "m.json"))
+    _, peak = _peak_allocation(run_calibrate, *args)
+    # the split mask, and per calibration record its float32 row and uint16
+    # label, its float64 score, the two copies of it that one class's
+    # quantile selects and ranks, and a byte of that class's mask
+    scores = (n - n_test) * (3 * 8 + 1)
+    assert peak <= label_bytes + n + (n - n_test) * (M * 4 + 2) + scores + 2 * BLOCK, peak
+    assert n * M * 4 > scores + 2 * BLOCK  # a copy of the softmax would not fit
 
 
 def test_evaluate_holds_no_float_copy_of_the_test_rows(containers):
-    (softmax, labels), model, payload, n, n_test = containers
+    (softmax, labels), model, label_bytes, n, n_test = containers
     _, peak = _peak_allocation(run_evaluate, model, softmax, labels)
     # the split mask and its negation, and per test row its label (uint16),
     # occupancy, set membership and argmax label (uint16)
     per_row = n_test * (2 + 1 + M + 2)
-    assert peak <= payload + 2 * n + per_row + 4 * BLOCK, peak
+    assert peak <= label_bytes + 2 * n + per_row + 4 * BLOCK, peak
     assert n_test * M * 4 > 4 * BLOCK  # a float32 copy of the test rows would not fit
 
 
 @pytest.mark.parametrize("score", ["kl", "class", "occupied"])
 def test_sweep_holds_no_float_copy_of_the_test_rows(containers, score):
-    (softmax, labels), _, payload, n, n_test = containers
+    (softmax, labels), _, label_bytes, n, n_test = containers
     targets = [0.5, 0.7, 0.9]
     _, peak = _peak_allocation(run_sweep, softmax, labels, PipelineConfig.default(0), score, targets)
     # four masks (the split, the rare classes, the rare calibration voxels
     # and the test voxels), and per test row its label (uint16) and its
     # gate decision at each target
     per_row = n_test * (2 + len(targets))
-    assert peak <= payload + 4 * n + per_row + 4 * BLOCK, peak
+    assert peak <= label_bytes + 4 * n + per_row + 4 * BLOCK, peak
