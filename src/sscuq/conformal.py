@@ -31,8 +31,8 @@ import numpy as np
 from .container import read_json, write_json
 from .grids import (
     LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_class_count, check_labels,
-    check_softmax_rows, check_softmax_shape, decode, encode, map_rows, row_blocks, row_reduce,
-    set_fields,
+    check_same_classes, check_softmax_rows, check_softmax_shape, decode, encode, map_rows,
+    row_blocks, row_reduce, set_fields,
 )
 
 __all__ = [
@@ -221,14 +221,13 @@ class CalibrationSet:
 
     @classmethod
     def from_grids(cls, grid: SoftmaxGrid, labels: LabelGrid, mask) -> "CalibrationSet":
-        """Collect (vector, label) records of the voxels that ``mask``
-        (boolean grid or flat boolean array) selects from aligned grids.
+        """Collect (vector, label) records of the voxels that ``mask`` (a
+        flat boolean array in raster voxel order) selects from aligned grids.
         ``grid`` is a ``SoftmaxGrid`` or a container's ``SoftmaxRows``: its
         rows are gathered one ``row_blocks`` block at a time into one
         float32 array, with no index array over the whole selection."""
         check_aligned(grid, labels)
         labs = labels.flat()
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
         if mask.shape != labs.shape:
             raise ValidationError("mask size must match the voxel count")
         rows = np.empty((np.count_nonzero(mask), grid.class_count), dtype=np.float32)
@@ -298,10 +297,7 @@ class _Model:
 
     def _probs(self, probs) -> np.ndarray:
         probs = check_softmax_shape(probs)
-        if probs.shape[-1] != self.class_count:
-            raise ValidationError(
-                f"vectors have {probs.shape[-1]} classes, model {self.class_count}"
-            )
+        check_same_classes("softmax", probs.shape[-1], "model", self.class_count)
         return probs
 
     def _member(self, probs: np.ndarray, quantiles) -> np.ndarray:
@@ -469,10 +465,7 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
     """
     if cal.n == 0:
         raise ValueError("calibration set is empty")
-    if cal.class_count != cfg.class_count:
-        raise ValidationError(
-            f"calibration has {cal.class_count} classes, config {cfg.class_count}"
-        )
+    check_same_classes("calibration", cal.class_count, "config", cfg.class_count)
     kl = score_kl(cal.probs, cfg.epsilon)
     q_o = class_quantiles(kl, cal.labels, dict(sorted(cfg.alpha_o.items())))
     gated = kl <= max(q_o.values())

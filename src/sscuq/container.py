@@ -251,10 +251,10 @@ class SoftmaxRows:
     """The rows of a softmax container, read from its open file one
     ``row_blocks`` block at a time: ``dims`` and ``class_count`` as a
     ``SoftmaxGrid``'s, and ``flat()`` the rows (n, M), which answer
-    ``shape`` and ``[block]``.  A block is a fresh float32 array read at
-    its offset; a file that has shrunk since it was opened raises
-    TruncationError, and an index that is not a slice of at most one
-    block of rows raises rather than reading more."""
+    ``shape`` and ``[block]``.  A block is a fresh array of the payload
+    dtype read at its offset; a file that has shrunk since it was opened
+    raises TruncationError, and an index that is not a slice of at most
+    one block of rows raises rather than reading more."""
 
     def __init__(self, fh, dims: tuple, class_count: int, start: int):
         self._fh, self._start = fh, start
@@ -270,7 +270,7 @@ class SoftmaxRows:
         first, stop, step = index.indices(self.shape[0])
         if step != 1 or stop - first > grids._BLOCK_ROWS:
             raise IndexError(f"softmax rows are read one block of rows at a time, not {index}")
-        rows = np.empty((max(stop - first, 0), self.class_count), dtype="<f4")
+        rows = np.empty((max(stop - first, 0), self.class_count), dtype=_KINDS["softmax"][1])
         self._fh.seek(self._start + first * rows.itemsize * self.class_count)
         got = self._fh.readinto(rows.reshape(-1).view(np.uint8))
         if got != rows.nbytes:  # the file shrank after it was opened

@@ -281,6 +281,12 @@ def check_class_count(m: int, least: int) -> None:
         raise ValidationError(f"class_count must be at least {least} and at most 65535, got {m}")
 
 
+def check_same_classes(what: str, m: int, other: str, n: int, error=ValidationError) -> None:
+    """Raise ``error`` "<what> has <m> classes, <other> <n>" unless ``m == n``."""
+    if m != n:
+        raise error(f"{what} has {m} classes, {other} {n}")
+
+
 def check_labels(labels, class_count: int) -> None:
     """Raise ValidationError naming the first of ``labels`` outside 1..``class_count``
     (NaN too), or else the first that is not an integer."""
@@ -519,7 +525,4 @@ def check_aligned(softmax: SoftmaxGrid, labels: LabelGrid) -> None:
     with the same classes."""
     if softmax.dims != labels.dims:
         raise ValidationError(f"softmax dims {softmax.dims} != label dims {labels.dims}")
-    if softmax.class_count != labels.class_count:
-        raise ValidationError(
-            f"softmax has {softmax.class_count} classes, labels {labels.class_count}"
-        )
+    check_same_classes("softmax", softmax.class_count, "labels", labels.class_count)

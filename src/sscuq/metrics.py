@@ -24,7 +24,7 @@ from .conformal import (  # noqa: F401
     score_kl,
     score_occupied,
 )
-from .grids import map_rows
+from .grids import check_same_classes, map_rows
 
 __all__ = [
     "GATE_SCORES",
@@ -186,8 +186,8 @@ def recall_iou_sweep(
     if score_kind not in GATE_SCORES:
         raise ValueError(f"unknown score kind {score_kind!r}")
     targets = check_targets(targets)
-    if probs.shape[-1] != cfg.class_count or cal.class_count != cfg.class_count:
-        raise ValueError("class counts differ between rows, calibration, and config")
+    check_same_classes("softmax", probs.shape[-1], "config", cfg.class_count)
+    check_same_classes("calibration", cal.class_count, "config", cfg.class_count)
 
     rare = sorted(cfg.rare_set)
     score = GATE_SCORES[score_kind]

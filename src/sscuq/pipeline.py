@@ -38,7 +38,9 @@ from .grids import (
     GridGeometry,
     GroundTruthDepth,
     Seed,
+    ValidationError,
     check_aligned,
+    check_same_classes,
     decode,
     map_rows,
     row_blocks,
@@ -141,8 +143,7 @@ class PipelineConfig:
         # an omitted section's default counts too: it describes the 5-class scene
         m = self.scene.class_count
         for name, part in (("classifier", self.classifier), ("hcp", self.hcp)):
-            if part.class_count != m:
-                raise ConfigError(f"{name} has {part.class_count} classes, scene.class_count {m}")
+            check_same_classes(name, part.class_count, "scene.class_count", m, ConfigError)
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
@@ -258,11 +259,13 @@ def run_project(
 
 
 @contextlib.contextmanager
-def _load_pair(softmax_path: str, labels_path: str):
+def _load_pair(softmax_path: str, labels_path: str, class_count: int, owner: str = "the config"):
     """Yield the softmax rows, read one block at a time from the open file,
     and the labels of two aligned containers; the softmax file is closed
-    when the block ends."""
+    when the block ends.  The softmax must have the ``class_count`` of
+    ``owner``: the config, or the model its command applies."""
     with read_grid(softmax_path, "softmax", blocks=True) as softmax:
+        check_same_classes(softmax_path, softmax.class_count, owner, class_count)
         labels = read_grid(labels_path, "labels")
         check_aligned(softmax, labels)
         yield softmax, labels
@@ -297,6 +300,10 @@ class _Split:
     seed: Seed
     fraction: float
 
+    def __post_init__(self):
+        if not 0.0 < self.fraction < 1.0:
+            raise ValidationError(f"fraction must be in (0, 1), got {self.fraction}")
+
 
 def run_calibrate(
     softmax_path: str,
@@ -308,7 +315,7 @@ def run_calibrate(
     """Calibrate ``method`` (a key of ``CALIBRATORS``) on the calibration
     split and write model JSON."""
     calibrate = CALIBRATORS[method]
-    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+    with _load_pair(softmax_path, labels_path, cfg.scene.class_count) as (softmax, labels):
         mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
         cal = CalibrationSet.from_grids(softmax, labels, mask=mask)
 
@@ -338,7 +345,7 @@ def run_evaluate(
     # the split is configuration (exit 2); without it the test voxels are unknown
     split = decode(_Split, extra.get("split", {}), "model.split", ConfigError)
 
-    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+    with _load_pair(softmax_path, labels_path, model.class_count, "the model") as (softmax, labels):
         test = ~split_mask(labels.labels.size, split.fraction, split.seed)
         labs = labels.flat()[test]
         n, m = labs.size, model.class_count
@@ -393,7 +400,7 @@ def run_sweep(
     out_csv: str | None = None,
 ) -> dict:
     """Recall/IoU trade-off of the geometric gate on the test split."""
-    with _load_pair(softmax_path, labels_path) as (softmax, labels):
+    with _load_pair(softmax_path, labels_path, cfg.scene.class_count) as (softmax, labels):
         mask = split_mask(labels.labels.size, cfg.split_fraction, cfg.seed)
         # the gate ranks the rare classes' calibration records only.  With
         # kind="sort", isin compares a few classes one at a time; its default

@@ -29,6 +29,7 @@ from .grids import (
     ValidationError,
     check_class_count,
     check_labels,
+    check_same_classes,
     row_blocks,
     row_reduce,
     set_fields,
@@ -398,9 +399,6 @@ def classify_labels(labels: np.ndarray, spec: ClassifierSpec, dtype=np.float64) 
 
 def synth_classifier(world: LabelGrid, spec: ClassifierSpec) -> SoftmaxGrid:
     """Apply the surrogate classifier voxelwise to a label grid."""
-    if spec.class_count != world.class_count:
-        raise ValidationError(
-            f"classifier has {spec.class_count} classes, world {world.class_count}"
-        )
+    check_same_classes("classifier", spec.class_count, "world", world.class_count)
     probs = classify_labels(world.flat(), spec, np.float32)
     return SoftmaxGrid(probs.reshape(world.dims + (spec.class_count,)))

@@ -559,6 +559,10 @@ _MALFORMED_MODELS = {
         {**_hcp_model_doc(), "split": {"fraction": 0.3, "seed": "21"}},
         "model.split.seed is malformed: '21' is not an integer", 2,
     ),
+    "split-fraction-1.5": (
+        {**_hcp_model_doc(), "split": {"fraction": 1.5, "seed": 21}},
+        "model.split: fraction must be in (0, 1), got 1.5", 2,
+    ),
     # a quantile is a number or +inf: the gate or a set test against -inf
     # or NaN passes nothing
     "q_s-minus-inf": (
@@ -851,6 +855,117 @@ def test_a_six_class_config_without_hcp_names_the_hcp_default(tmp_path, sim_dir,
     code, err = _main(capsys, *argv, "--config", str(cfg), *data, *rest)
     assert code == 2, err
     assert json.loads(err)["error"] == "hcp has 5 classes, scene.class_count 6"
+
+
+# ---------------------------------------------------------------------------
+# one class-count rule: "<what> has <m> classes, <other> <n>", exit 3
+
+_THREE_CLASS_CONFIG = {
+    "scene": {
+        "class_count": 3,
+        "class_mix": {"2": 0.0156, "3": 0.03},
+        "templates": [
+            {"class_id": 2, "kind": "slab", "size": [[0.2, 0.2], [12.8, 12.8], [3.2, 3.2]]},
+            {"class_id": 3, "kind": "box", "size": [[2.0, 3.0], [1.0, 2.0], [1.0, 2.0]]},
+        ],
+    },
+    "classifier": {
+        "confusion": [[0.96, 0.03, 0.01], [0.03, 0.94, 0.03], [0.03, 0.03, 0.94]],
+        "sharpness": 3.0,
+        "temperature": 1.5,
+    },
+    "hcp": {"rare_set": [3], "alpha_o": {"3": 0.3}, "alpha_target": {"2": 0.1, "3": 0.1}},
+}
+
+
+@pytest.fixture(scope="module")
+def three_class_dir(tmp_path_factory):
+    """A 3-class simulate output, its config, and an hcp model of it."""
+    out = tmp_path_factory.mktemp("three")
+    cfg = out / "cfg.json"
+    cfg.write_text(json.dumps(_THREE_CLASS_CONFIG))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    assert main(["calibrate", "--config", str(cfg), *data, "--out", str(out / "hcp.json")]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [["calibrate", "--method", m] for m in ("scp", "cccp", "hcp")]
+                         + [["sweep", "--targets", "0.5,0.9"]])
+def test_a_softmax_of_other_classes_than_the_config_exits_3_and_writes_nothing(
+    tmp_path, three_class_dir, capsys, argv
+):
+    # scp used to write a 3-class model at the 5-class config's rate
+    softmax = three_class_dir / "softmax.sscg"
+    out = tmp_path / "out"
+    data = ["--softmax", str(softmax), "--labels", str(three_class_dir / "labels.sscg")]
+    code, err = _main(capsys, *argv, *data, "--out", str(out))
+    assert code == 3, err
+    assert json.loads(err)["error"] == f"{softmax} has 3 classes, the config 5"
+    assert not out.exists()
+
+
+def test_a_model_of_other_classes_than_the_softmax_exits_3_and_writes_nothing(
+    tmp_path, sim_dir, three_class_dir, capsys
+):
+    out, _ = sim_dir
+    metrics = tmp_path / "metrics.json"
+    code, err = _main(
+        capsys,
+        "evaluate",
+        "--model", str(three_class_dir / "hcp.json"),
+        "--softmax", str(out / "softmax.sscg"),
+        "--labels", str(out / "labels.sscg"),
+        "--out-json", str(metrics),
+    )
+    assert code == 3, err
+    assert json.loads(err)["error"] == f"{out / 'softmax.sscg'} has 5 classes, the model 3"
+    assert not metrics.exists()
+
+
+def _guard_cases():
+    from sscuq.conformal import CalibrationSet, ScpModel, hcp_calibrate
+    from sscuq.grids import LabelGrid, SoftmaxGrid, check_aligned
+    from sscuq.metrics import recall_iou_sweep
+    from sscuq.synth import default_classifier_spec, synth_classifier
+
+    labels = 1 + np.arange(24) % 3
+    probs, five = np.full((24, 3), 1 / 3), np.full((24, 5), 0.2)
+    cal = CalibrationSet(probs, labels)
+    hcp = PipelineConfig.default().hcp
+    world = LabelGrid(labels.reshape(2, 3, 4), class_count=3)
+    return {
+        "check_aligned": (
+            lambda: check_aligned(SoftmaxGrid(probs.reshape(2, 3, 4, 3)),
+                                  LabelGrid(labels.reshape(2, 3, 4), class_count=5)),
+            "softmax has 3 classes, labels 5",
+        ),
+        "hcp_calibrate": (lambda: hcp_calibrate(cal, hcp), "calibration has 3 classes, config 5"),
+        "model.predict": (
+            lambda: ScpModel(class_count=4, alpha=0.1, q=0.5).predict(five),
+            "softmax has 5 classes, model 4",
+        ),
+        "recall_iou_sweep": (
+            lambda: recall_iou_sweep(probs, labels, labels > 0, cal, hcp, "kl", [0.5]),
+            "softmax has 3 classes, config 5",
+        ),
+        "synth_classifier": (
+            lambda: synth_classifier(world, default_classifier_spec(0)),
+            "classifier has 5 classes, world 3",
+        ),
+    }
+
+
+@pytest.mark.parametrize("guard", ["check_aligned", "hcp_calibrate", "model.predict",
+                                   "recall_iou_sweep", "synth_classifier"])
+def test_each_library_class_count_guard_gives_the_one_message(guard):
+    from sscuq.grids import ValidationError
+
+    call, message = _guard_cases()[guard]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+    assert re.fullmatch(r"\w+ has \d+ classes, \w+ \d+", str(info.value))
 
 
 def test_integral_float_in_integer_field_is_accepted():
