@@ -14,7 +14,7 @@ import json
 import sys
 
 from .container import ContainerError
-from .grids import ValidationError, encode
+from .grids import encode
 from .metrics import GATE_SCORES, check_targets
 from .pipeline import (
     CALIBRATORS,
@@ -80,16 +80,13 @@ def _apply_overrides(cfg: PipelineConfig, args) -> PipelineConfig:
         rare_set = frozenset(_parse_class_key(k) for k in rare.split(",")) if rare else hcp.rare_set
         # a new rare set drops the config's rates for classes outside it
         alpha_o = {y: a for y, a in hcp.alpha_o.items() if y in rare_set} | alpha_o
-        try:
-            changes["hcp"] = dataclasses.replace(
-                hcp,
-                rare_set=rare_set,
-                alpha_o=alpha_o,
-                alpha_target={**hcp.alpha_target, **alpha_target},
-                epsilon=hcp.epsilon if epsilon is None else epsilon,
-            )
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+        changes["hcp"] = dataclasses.replace(
+            hcp,
+            rare_set=rare_set,
+            alpha_o=alpha_o,
+            alpha_target={**hcp.alpha_target, **alpha_target},
+            epsilon=hcp.epsilon if epsilon is None else epsilon,
+        )
     return dataclasses.replace(cfg, **changes)
 
 
@@ -186,8 +183,10 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", 1)
         if threads < 1:
             raise ConfigError(f"--threads must be at least 1, got {threads}")
-        cfg = PipelineConfig.load(args.config, seed_override=args.seed)
-        cfg = _apply_overrides(cfg, args)
+        try:
+            cfg = _apply_overrides(PipelineConfig.load(args.config, seed_override=args.seed), args)
+        except ValueError as exc:  # a value of the config file or of a flag: exit 2
+            raise ConfigError(str(exc)) from None
 
         if args.command == "simulate":
             summary = run_simulate(cfg, args.out_dir, threads=threads)

@@ -31,8 +31,8 @@ import numpy as np
 from .container import read_json, write_json
 from .grids import (
     LabelGrid, SoftmaxGrid, ValidationError, check_aligned, check_class_count, check_labels,
-    check_same_classes, check_softmax_rows, check_softmax_shape, decode, encode, map_rows,
-    row_blocks, row_reduce, set_fields,
+    check_rate, check_same_classes, check_softmax_rows, check_softmax_shape, decode, encode,
+    map_rows, row_blocks, row_reduce, set_fields,
 )
 
 __all__ = [
@@ -105,7 +105,7 @@ def score_kl(f, epsilon: float = 0.01):
     spread widely.  Computed with numpy alone (no scipy), it agrees with
     ``scipy.special.xlogy(f, f)`` to within a few ulp.
     """
-    _check_rate("epsilon", epsilon)
+    check_rate("epsilon", epsilon)
     f = check_softmax_shape(f)
     rows = f.reshape(-1, f.shape[-1])
     out = np.empty(rows.shape[0])
@@ -124,25 +124,10 @@ def score_kl(f, epsilon: float = 0.01):
 # rates and the quantile rule
 
 
-# what a rate or quantile must be -> the test it passes; each test fails a NaN
-_BOUNDS = {
-    "in (0, 1)": lambda a: 0.0 < a < 1.0,
-    "in [0, 1]": lambda a: 0.0 <= a <= 1.0,
-    "a number or +inf": lambda a: -math.inf < a,  # a quantile, as calibrators write it
-}
-
-
-def _check_rate(name: str, a: float, bounds: str = "in (0, 1)") -> None:
-    """Raise a ValidationError naming ``name`` unless ``a`` is ``bounds``,
-    a key of ``_BOUNDS``."""
-    if not _BOUNDS[bounds](a):
-        raise ValidationError(f"{name} must be {bounds}, got {a}")
-
-
 def _class_map(name: str, values: Mapping, classes, bounds: str = "in (0, 1)") -> dict:
     """``values`` as ``{int: float}`` once its keys are exactly ``classes``
     (a range, shown as "a..b", or a set) and each value passes
-    ``_check_rate`` with ``bounds``."""
+    ``check_rate`` with ``bounds``."""
     out, want = {int(y): float(v) for y, v in values.items()}, set(classes)
     if out.keys() != want:
         shown = f"{classes[0]}..{classes[-1]}" if isinstance(classes, range) else sorted(want)
@@ -151,7 +136,7 @@ def _class_map(name: str, values: Mapping, classes, bounds: str = "in (0, 1)") -
             f"{sorted(out.keys() - want)}, missing {sorted(want - out.keys())}"
         )
     for y, a in out.items():
-        _check_rate(f"{name}[{y}]", a, bounds)
+        check_rate(f"{name}[{y}]", a, bounds)
     return out
 
 
@@ -162,7 +147,7 @@ def conformal_quantile(scores, alpha: float) -> float:
     A 1e-9 slack guards the ceiling against float noise when
     (N+1)(1-alpha) is an exact integer.
     """
-    _check_rate("alpha", alpha)
+    check_rate("alpha", alpha)
     scores = np.asarray(scores, dtype=np.float64).ravel()
     n = scores.size
     k = math.ceil((n + 1) * (1.0 - alpha) - 1e-9)
@@ -178,8 +163,8 @@ def split_alpha(alpha_target: float, alpha_o: float) -> float:
     when alpha_o >= alpha_target), which makes the semantic quantile
     +inf and keeps the coverage direction vacuously intact.
     """
-    _check_rate("alpha_target", alpha_target)
-    _check_rate("alpha_o", alpha_o)
+    check_rate("alpha_target", alpha_target)
+    check_rate("alpha_o", alpha_o)
     return max(0.0, 1.0 - (1.0 - alpha_target) / (1.0 - alpha_o))
 
 
@@ -275,7 +260,7 @@ def _check_hcp(obj) -> frozenset[int]:
         raise ValidationError("rare_set must be non-empty")
     if any(y < 2 or y > m for y in rare):
         raise ValidationError(f"rare_set {sorted(rare)} must hold nonempty classes in 2..{m}")
-    _check_rate("epsilon", obj.epsilon)
+    check_rate("epsilon", obj.epsilon)
     alpha_target = _class_map("alpha_target", obj.alpha_target, range(2, m + 1))
     set_fields(obj, rare_set=rare, alpha_target=alpha_target)
     return rare
@@ -327,8 +312,8 @@ class ScpModel(_Model):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_rate("alpha", self.alpha)
-        _check_rate("q", self.q, "a number or +inf")
+        check_rate("alpha", self.alpha)
+        check_rate("q", self.q, "a number or +inf")
 
     def _quantiles(self):
         return self.q
@@ -463,8 +448,6 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
     rate is split against it, and the class's semantic quantile is the
     conformal quantile of 1 - f_y over its gate-passing records.
     """
-    if cal.n == 0:
-        raise ValueError("calibration set is empty")
     check_same_classes("calibration", cal.class_count, "config", cfg.class_count)
     kl = score_kl(cal.probs, cfg.epsilon)
     q_o = class_quantiles(kl, cal.labels, dict(sorted(cfg.alpha_o.items())))
@@ -532,14 +515,14 @@ def load_model(path, extra: dict | None = None):
     ``extra`` is given, the document's keys that are not model fields
     (those save_model's ``extra`` wrote) are copied into it.
     """
-    doc = read_json(path, "model", ValidationError)
+    doc = read_json(path, "model")
     method = doc.get("method")
     cls = _MODEL_TYPES.get(method) if isinstance(method, str) else None
     if cls is None:
         raise ValidationError(
             f"model.method must be one of {sorted(_MODEL_TYPES)}, got {method!r}"
         )
-    model = decode(cls, doc, "model", ValidationError)
+    model = decode(cls, doc, "model")
     if extra is not None:
         names = {f.name for f in fields(cls)}
         extra.update((k, v) for k, v in doc.items() if k != "method" and k not in names)

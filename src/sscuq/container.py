@@ -49,7 +49,8 @@ from .grids import (
 )
 
 __all__ = [
-    "ContainerError", "FormatError", "SoftmaxRows", "TruncationError", "read_grid", "write_grid",
+    "ContainerError", "FormatError", "SoftmaxRows", "TruncationError", "read_grid", "read_header",
+    "write_grid",
 ]
 
 MAGIC = b"SSCG"
@@ -134,18 +135,18 @@ def atomic_write(path, *parts) -> None:
         raise
 
 
-def read_json(path, what: str, error: type[Exception]) -> dict:
+def read_json(path, what: str) -> dict:
     """The JSON object in the UTF-8 file at ``path``.  A file that is not
-    UTF-8 JSON, or holds a JSON value that is not an object, raises
-    ``error`` naming ``what`` and ``path``."""
+    UTF-8 JSON, or holds a JSON value that is not an object, raises a
+    ValidationError naming ``what`` and ``path``."""
     path = os.fspath(path)
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
-            raise error(f"{what} {path} is not valid UTF-8 JSON: {exc}") from None
+            raise ValidationError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise error(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
+        raise ValidationError(f"{what} {path} must be a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -198,6 +199,14 @@ def read_grid(path, *kinds: str, blocks: bool = False):
     if kind == "labels":
         fields["class_count"] = count
     return grid_type(**fields)
+
+
+def read_header(path, *kinds: str) -> tuple[str, tuple, int | None]:
+    """(kind, payload shape, class count) of the SSCG container at ``path``,
+    from its header alone: it is checked as ``read_grid`` checks it, and no
+    payload byte is read.  The shape leads with the kind's plane count."""
+    with open(os.fspath(path), "rb") as fh:
+        return _read_header(fh, path, kinds)[:3]
 
 
 def _read_header(fh, path, kinds) -> tuple[str, tuple, int | None, int]:

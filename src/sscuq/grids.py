@@ -48,7 +48,7 @@ class ValidationError(ValueError):
 Seed = NewType("Seed", int)
 
 
-def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
+def decode(cls, doc, where: str, defaults={}, fixed={}):
     """Decode the JSON value ``doc`` as ``cls``, by annotations.
 
     ``cls`` is a dataclass, built from the JSON object ``doc`` by the
@@ -74,20 +74,20 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
     ``doc``.  A field missing from ``doc`` is filled from ``defaults``,
     then from the field's own default; failing both it is an error.
 
-    Every error is raised as ``error`` naming what failed: "where.field
+    Every error is a ValidationError naming what failed: "where.field
     is missing", "where.field[5] is malformed: <value> is not <form>" for
     a value (here a map's entry) of the wrong form, and "where: ..." for a
     ValidationError of the constructor.
     """
     if not dataclasses.is_dataclass(cls):
         try:
-            return _value(cls, doc, where, error)
-        except error:  # a nested dataclass's error names its own field
+            return _value(cls, doc, where)
+        except ValidationError:  # a nested dataclass's error names its own field
             raise
         except (ValueError, OverflowError) as exc:
-            raise error(f"{where} is malformed: {exc}") from None
+            raise ValidationError(f"{where} is malformed: {exc}") from None
     if not isinstance(doc, Mapping):
-        raise error(f"{where} must be an object, got {type(doc).__name__}")
+        raise ValidationError(f"{where} must be an object, got {type(doc).__name__}")
     hints = get_type_hints(cls)
     values = dict(fixed)
     for f in dataclasses.fields(cls):
@@ -95,15 +95,15 @@ def decode(cls, doc, where: str, error: type[Exception], defaults={}, fixed={}):
         if f.name in values:
             continue
         if f.name in doc:
-            values[f.name] = decode(hints[f.name], doc[f.name], name, error)
+            values[f.name] = decode(hints[f.name], doc[f.name], name)
         elif f.name in defaults:
             values[f.name] = defaults[f.name]
         elif f.default is dataclasses.MISSING:
-            raise error(f"{name} is missing")
+            raise ValidationError(f"{name} is missing")
     try:
         return cls(**values)
     except ValidationError as exc:
-        raise error(f"{where}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def encode(value):
@@ -125,7 +125,7 @@ def encode(value):
     return value
 
 
-def _value(hint, v, where: str, error: type[Exception]):
+def _value(hint, v, where: str):
     """``v`` decoded as ``hint``; a value of the wrong form raises
     ValueError, or OverflowError for an int too large for a float.  A
     message shows the value through ``reprlib.repr``, so that a large
@@ -150,12 +150,12 @@ def _value(hint, v, where: str, error: type[Exception]):
     if not isinstance(v, form):
         raise ValueError(f"{reprlib.repr(v)} is not {name}")
     if origin is Mapping:  # its keys are ints
-        return {_class_key(k): decode(args[1], x, f"{where}[{k}]", error) for k, x in v.items()}
+        return {_class_key(k): decode(args[1], x, f"{where}[{k}]") for k, x in v.items()}
     sized = origin is tuple and args[-1] is not Ellipsis
     if sized and len(v) != len(args):
         raise ValueError(f"expected {len(args)} items, got {len(v)}")
     hints = args if sized else (args[0],) * len(v)
-    items = (decode(a, x, f"{where}[{i}]", error) for i, (a, x) in enumerate(zip(hints, v)))
+    items = (decode(a, x, f"{where}[{i}]") for i, (a, x) in enumerate(zip(hints, v)))
     return frozenset(items) if origin is frozenset else tuple(items)
 
 
@@ -281,10 +281,25 @@ def check_class_count(m: int, least: int) -> None:
         raise ValidationError(f"class_count must be at least {least} and at most 65535, got {m}")
 
 
-def check_same_classes(what: str, m: int, other: str, n: int, error=ValidationError) -> None:
-    """Raise ``error`` "<what> has <m> classes, <other> <n>" unless ``m == n``."""
+def check_same_classes(what: str, m: int, other: str, n: int) -> None:
+    """Raise ValidationError "<what> has <m> classes, <other> <n>" unless ``m == n``."""
     if m != n:
-        raise error(f"{what} has {m} classes, {other} {n}")
+        raise ValidationError(f"{what} has {m} classes, {other} {n}")
+
+
+# what a rate or quantile must be -> the test it passes; each test fails a NaN
+_BOUNDS = {
+    "in (0, 1)": lambda a: 0.0 < a < 1.0,
+    "in [0, 1]": lambda a: 0.0 <= a <= 1.0,
+    "a number or +inf": lambda a: -math.inf < a,  # a quantile, as calibrators write it
+}
+
+
+def check_rate(name: str, a: float, bounds: str = "in (0, 1)") -> None:
+    """Raise a ValidationError naming ``name`` unless ``a`` is ``bounds``,
+    a key of ``_BOUNDS``: a rate, a split fraction, or a quantile."""
+    if not _BOUNDS[bounds](a):
+        raise ValidationError(f"{name} must be {bounds}, got {a}")
 
 
 def check_labels(labels, class_count: int) -> None:

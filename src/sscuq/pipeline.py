@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .conformal import (
     save_model,
     scp_calibrate,
 )
-from .container import atomic_write, read_grid, read_json, write_grid, write_json
+from .container import atomic_write, read_grid, read_header, read_json, write_grid, write_json
 from .grids import (
     CameraIntrinsics,
     DepthEstimate,
@@ -40,6 +39,7 @@ from .grids import (
     Seed,
     ValidationError,
     check_aligned,
+    check_rate,
     check_same_classes,
     decode,
     map_rows,
@@ -58,6 +58,7 @@ from .projection import build_binary_grid, build_prob_grid
 from .synth import (
     ClassifierSpec,
     SceneSpec,
+    check_noise,
     default_classifier_spec,
     default_geometry,
     default_intrinsics,
@@ -81,7 +82,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A configuration value is missing or invalid; the message names it."""
+    """A configuration value is missing or invalid; the CLI exits 2 on it."""
 
 
 def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
@@ -91,8 +92,7 @@ def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
     below ``fraction``, so the mask is pure in (seed, index).  The draws are
     made one ``row_blocks`` block of counters at a time.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"split_fraction must be in (0, 1), got {fraction}")
+    check_rate("split_fraction", fraction)
     stream = rng.derive_seed(seed, rng.TAG_SPLIT)
     mask = np.empty(n_voxels, dtype=bool)
     for block in row_blocks(n_voxels):
@@ -103,7 +103,7 @@ def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Validated bundle of everything a command needs."""
+    """Validated bundle of everything a command needs; ValidationError names a bad value."""
 
     geometry: GridGeometry
     intrinsics: CameraIntrinsics
@@ -135,15 +135,12 @@ class PipelineConfig:
         )
 
     def __post_init__(self):
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        a, b = self.noise_a, self.noise_b
-        if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
-            raise ConfigError("noise.a and noise.b must be finite and >= 0 with a positive sum")
+        check_rate("split_fraction", self.split_fraction)
+        check_noise(self.noise_a, self.noise_b)
         # an omitted section's default counts too: it describes the 5-class scene
         m = self.scene.class_count
         for name, part in (("classifier", self.classifier), ("hcp", self.hcp)):
-            check_same_classes(name, part.class_count, "scene.class_count", m, ConfigError)
+            check_same_classes(name, part.class_count, "scene.class_count", m)
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
@@ -154,13 +151,12 @@ class PipelineConfig:
         def section(key, kind, defaults={}, fixed={}):
             if key not in doc:
                 return getattr(base, key)
-            return decode(kind, doc[key], key, ConfigError, defaults, fixed)
+            return decode(kind, doc[key], key, defaults, fixed)
 
         geometry = section("geometry", GridGeometry)
         # the scene is always built on the top-level geometry
         scene = decode(
-            SceneSpec, doc.get("scene", {}), "scene", ConfigError, vars(base.scene),
-            fixed={"geometry": geometry},
+            SceneSpec, doc.get("scene", {}), "scene", vars(base.scene), fixed={"geometry": geometry}
         )
         noise = doc.get("noise", {})
         return cls(
@@ -180,7 +176,7 @@ class PipelineConfig:
     def load(cls, path: str | None, seed_override: int | None = None) -> "PipelineConfig":
         """Load a config file (the defaults when ``path`` is None);
         ``seed_override`` replaces its root seed."""
-        doc = {} if path is None else read_json(path, "config", ConfigError)
+        doc = {} if path is None else read_json(path, "config")
         if seed_override is not None:
             doc = {**doc, "seed": seed_override}
         return cls.from_json_dict(doc)
@@ -188,10 +184,10 @@ class PipelineConfig:
 
 def _scalar(doc, key: str, hint, default, where: str = ""):
     """``doc[key]``, or ``default`` when absent, decoded as ``hint``;
-    ConfigError names ``where.key`` when ``doc`` or the value is malformed."""
+    ValidationError names ``where.key`` when ``doc`` or the value is malformed."""
     if not isinstance(doc, Mapping):
-        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
-    return decode(hint, doc.get(key, default), f"{where}.{key}" if where else key, ConfigError)
+        raise ValidationError(f"{where} must be an object, got {type(doc).__name__}")
+    return decode(hint, doc.get(key, default), f"{where}.{key}" if where else key)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +260,10 @@ def _load_pair(softmax_path: str, labels_path: str, class_count: int, owner: str
     and the labels of two aligned containers; the softmax file is closed
     when the block ends.  The softmax must have the ``class_count`` of
     ``owner``: the config, or the model its command applies."""
+    # the header's class count is compared before any payload byte is read
+    _, _, count = read_header(softmax_path, "softmax")
+    check_same_classes(softmax_path, count, owner, class_count)
     with read_grid(softmax_path, "softmax", blocks=True) as softmax:
-        check_same_classes(softmax_path, softmax.class_count, owner, class_count)
         labels = read_grid(labels_path, "labels")
         check_aligned(softmax, labels)
         yield softmax, labels
@@ -301,8 +299,7 @@ class _Split:
     fraction: float
 
     def __post_init__(self):
-        if not 0.0 < self.fraction < 1.0:
-            raise ValidationError(f"fraction must be in (0, 1), got {self.fraction}")
+        check_rate("fraction", self.fraction)
 
 
 def run_calibrate(
@@ -342,8 +339,12 @@ def run_evaluate(
     """Apply a saved model to the test split and report metrics."""
     extra: dict = {}
     model = load_model(model_path, extra=extra)
-    # the split is configuration (exit 2); without it the test voxels are unknown
-    split = decode(_Split, extra.get("split", {}), "model.split", ConfigError)
+    # the split is configuration (exit 2), though a model file records it:
+    # without it the test voxels are unknown
+    try:
+        split = decode(_Split, extra.get("split", {}), "model.split")
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None
 
     with _load_pair(softmax_path, labels_path, model.class_count, "the model") as (softmax, labels):
         test = ~split_mask(labels.labels.size, split.fraction, split.seed)

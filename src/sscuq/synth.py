@@ -295,6 +295,12 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
 # depth rendering
 
 
+def check_noise(a: float, b: float) -> None:
+    """Raise ValidationError unless ``sigma(d) = a + b*d`` has finite a, b >= 0, a + b > 0."""
+    if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
+        raise ValidationError("noise.a and noise.b must be finite and >= 0 with a positive sum")
+
+
 def render_depth(
     world: LabelGrid,
     intr: CameraIntrinsics,
@@ -314,8 +320,7 @@ def render_depth(
     ``threads`` worker threads cast chunks of rays; the result does not
     depend on it.
     """
-    if noise_a < 0 or noise_b < 0 or noise_a + noise_b <= 0:
-        raise ValueError("need noise_a, noise_b >= 0 with a positive sum")
+    check_noise(noise_a, noise_b)
     if world.dims != geom.dims:
         raise ValueError(f"world dims {world.dims} != geometry dims {geom.dims}")
     shape = (intr.height, intr.width)

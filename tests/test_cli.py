@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from sscuq import pipeline
 from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.conformal import _MODEL_TYPES, load_model
-from sscuq.container import read_grid
-from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid, decode, encode
+from sscuq.container import SoftmaxRows, read_grid
+from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid, ValidationError, decode, encode
 from sscuq.metrics import GATE_SCORES
-from sscuq.pipeline import CALIBRATORS, ConfigError, PipelineConfig, _Split, run_calibrate
+from sscuq.pipeline import CALIBRATORS, PipelineConfig, _Split, run_calibrate
 
 
 def run_cli(*args):
@@ -293,6 +293,27 @@ def test_strict_escalates_an_unreachable_scp_quantile(tmp_path, sim_dir):
     assert json.loads(lenient.stdout)["warnings"] == summary["warnings"]
     assert (tmp_path / "strict.json").read_bytes() == (tmp_path / "lenient.json").read_bytes()
     assert json.loads((tmp_path / "strict.json").read_text())["q"] == "inf"
+
+
+@pytest.mark.parametrize("method", ["scp", "cccp", "hcp"])
+def test_an_empty_calibration_set_is_a_degeneracy_for_every_method(
+    tmp_path, sim_dir, capsys, method
+):
+    # seed 0 puts none of the 65,536 voxels below this fraction; hcp used
+    # to exit 3 with "calibration set is empty"
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    argv = ["calibrate", "--method", method, "--seed", "0", "--split", "0.00001", *data]
+    assert main([*argv, "--out", str(tmp_path / "m.json")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["calibration_records"] == 0
+    assert summary["warnings"]
+    assert main([*argv, "--out", str(tmp_path / "strict.json"), "--strict"]) == 4
+    assert json.loads(capsys.readouterr().out)["warnings"] == summary["warnings"]
+    # every quantile is +inf, so each prediction set holds every class
+    assert main(["evaluate", "--model", str(tmp_path / "m.json"), *data]) == 0
+    coverage = json.loads(capsys.readouterr().out)["report"]["per_class_coverage"]
+    assert coverage == {str(y): 1.0 for y in range(2, 6)}
 
 
 def test_strict_escalates_degenerate_sweep_target(tmp_path, sim_dir):
@@ -923,6 +944,21 @@ def test_a_model_of_other_classes_than_the_softmax_exits_3_and_writes_nothing(
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("argv", [["calibrate", "--method", m] for m in ("scp", "cccp", "hcp")]
+                         + [["sweep", "--targets", "0.5,0.9"]])
+def test_a_softmax_of_other_classes_is_refused_before_any_row_is_read(
+    tmp_path, three_class_dir, capsys, monkeypatch, argv
+):
+    def unread(self, index):
+        raise AssertionError(f"softmax rows {index} were read")
+
+    # the header's class count decides: the refusal is the same, unread
+    monkeypatch.setattr(SoftmaxRows, "__getitem__", unread)
+    test_a_softmax_of_other_classes_than_the_config_exits_3_and_writes_nothing(
+        tmp_path, three_class_dir, capsys, argv
+    )
+
+
 def _guard_cases():
     from sscuq.conformal import CalibrationSet, ScpModel, hcp_calibrate
     from sscuq.grids import LabelGrid, SoftmaxGrid, check_aligned
@@ -968,6 +1004,40 @@ def test_each_library_class_count_guard_gives_the_one_message(guard):
     assert re.fullmatch(r"\w+ has \d+ classes, \w+ \d+", str(info.value))
 
 
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ('{"seed": "7"}', [], "seed is malformed: '7' is not an integer"),
+        ("[1, 2]", [], "config {cfg} must be a JSON object, got list"),
+        ('{"noise": {"a": -1}}', [],
+         "noise.a and noise.b must be finite and >= 0 with a positive sum"),
+        ("{}", ["--alpha-o", "car=0.2"],
+         "alpha_o must cover exactly classes [5], got extra [4], missing []"),
+        ("{}", ["--split", "1.2"], "split_fraction must be in (0, 1), got 1.2"),
+    ],
+    ids=["decode", "read-json", "section-rule", "alpha-o-flag", "split-flag"],
+)
+def test_a_failure_while_the_config_is_built_exits_2_with_its_message(
+    tmp_path, capsys, text, flags, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    argv = ["calibrate", "--config", str(cfg), *flags, *_required("calibrate", tmp_path)]
+    code, err = _main(capsys, *argv)
+    assert json.loads(err) == {"error": message.format(cfg=cfg), "exit": 2}
+    assert code == 2
+
+
+def test_the_library_raises_validation_error_for_a_malformed_config_value():
+    with pytest.raises(ValidationError) as info:
+        pipeline.split_mask(10, 1.5, 0)
+    assert str(info.value) == "split_fraction must be in (0, 1), got 1.5"
+    with pytest.raises(ValidationError, match=r"^split_fraction must be in \(0, 1\), got 1.5$"):
+        dataclasses.replace(PipelineConfig.default(), split_fraction=1.5)
+    with pytest.raises(ValidationError, match=r"^noise\.a and noise\.b must be finite"):
+        PipelineConfig.from_json_dict({"noise": {"b": math.inf}})
+
+
 def test_integral_float_in_integer_field_is_accepted():
     geometry = {"dims": [64.0, 64, 16], "voxel_edge": 0.2, "origin": [0, 0, 0]}
     cfg = PipelineConfig.from_json_dict({"seed": 2.0, "geometry": geometry})
@@ -983,7 +1053,7 @@ def test_every_config_section_and_the_split_encode_as_they_decode(seed):
     for hint, value in [*values, (_Split, _Split(seed, 0.3))]:
         doc = encode(value)
         assert json.loads(json.dumps(doc, allow_nan=False)) == doc  # strict JSON
-        assert encode(decode(hint, doc, "config", ConfigError)) == doc
+        assert encode(decode(hint, doc, "config")) == doc
 
 
 def _readme_config() -> dict:

@@ -696,7 +696,7 @@ def test_model_codec_roundtrip_is_byte_stable(tmp_path, name):
         # the file holds encode(model): strict JSON that decodes to the model
         doc = encode(model)
         assert json.loads(json.dumps(doc, allow_nan=False)) == doc
-        assert encode(decode(type(model), doc, "model", ValidationError)) == doc
+        assert encode(decode(type(model), doc, "model")) == doc
 
 
 _QUANTILE_FIELDS = {

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -128,6 +129,17 @@ def test_render_rejects_zero_noise():
     world = generate_scene(default_scene_spec(seed=2))
     with pytest.raises(ValueError):
         render_depth(world, default_intrinsics(), default_geometry(), 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "noise", [(math.nan, 0.06), (0.03, math.nan), (math.inf, 0.06), (0.03, math.inf)]
+)
+def test_render_refuses_noise_that_is_not_finite(noise):
+    # a NaN used to render an estimate with no valid pixel, and no error
+    world = generate_scene(default_scene_spec(seed=0))
+    with pytest.raises(ValidationError) as info:
+        render_depth(world, default_intrinsics(), default_geometry(), *noise)
+    assert str(info.value) == "noise.a and noise.b must be finite and >= 0 with a positive sum"
 
 
 def test_render_wall_residuals_standard_normal():
