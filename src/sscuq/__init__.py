@@ -67,6 +67,7 @@ from .metrics import (
 )
 from .synth import (
     ClassifierSpec,
+    DepthNoise,
     GenerationError,
     ObjectTemplate,
     SceneSpec,

@@ -211,7 +211,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_CONFIG}), file=sys.stderr)
         return EXIT_CONFIG
-    except (ContainerError, GenerationError, OSError, ValueError) as exc:
+    except (ContainerError, GenerationError, MemoryError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_DATA}), file=sys.stderr)
         return EXIT_DATA
 

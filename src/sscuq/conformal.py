@@ -458,8 +458,9 @@ def hcp_calibrate(cal: CalibrationSet, cfg: HcpConfig) -> HcpModel:
     alpha_o, alpha_s = {}, {}
     for y in range(2, cfg.class_count + 1):
         if records[y] == 0:
-            warnings.warn(f"class {y} absent from calibration; semantic quantile is +inf",
-                          DegeneracyWarning, stacklevel=2)
+            if y not in cfg.rare_set:  # a rare class's gate quantile has warned already
+                warnings.warn(f"class {y} absent from calibration; semantic quantile is +inf",
+                              DegeneracyWarning, stacklevel=2)
             alpha_o[y], alpha_s[y] = 1.0, 0.0
             continue
         a_o = float(cfg.alpha_o[y] if y in cfg.rare_set else 1.0 - passed[y] / records[y])

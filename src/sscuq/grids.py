@@ -72,7 +72,8 @@ def decode(cls, doc, where: str, defaults={}, fixed={}):
 
     A field named in ``fixed`` takes that value and is never read from
     ``doc``.  A field missing from ``doc`` is filled from ``defaults``,
-    then from the field's own default; failing both it is an error.
+    then from the field's own default or ``default_factory``; failing
+    both it is an error.
 
     Every error is a ValidationError naming what failed: "where.field
     is missing", "where.field[5] is malformed: <value> is not <form>" for
@@ -98,7 +99,7 @@ def decode(cls, doc, where: str, defaults={}, fixed={}):
             values[f.name] = decode(hints[f.name], doc[f.name], name)
         elif f.name in defaults:
             values[f.name] = defaults[f.name]
-        elif f.default is dataclasses.MISSING:
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValidationError(f"{name} is missing")
     try:
         return cls(**values)

@@ -57,12 +57,11 @@ from .metrics import (
 from .projection import build_binary_grid, build_prob_grid
 from .synth import (
     ClassifierSpec,
+    DepthNoise,
     SceneSpec,
     check_noise,
-    default_classifier_spec,
     default_geometry,
     default_intrinsics,
-    default_scene_spec,
     generate_scene,
     render_depth,
     synth_classifier,
@@ -110,33 +109,17 @@ class PipelineConfig:
     scene: SceneSpec
     classifier: ClassifierSpec
     hcp: HcpConfig
-    noise_a: float
-    noise_b: float
+    noise: DepthNoise
     split_fraction: float
     seed: int
 
     @classmethod
     def default(cls, seed: int = 0) -> "PipelineConfig":
-        return cls(
-            geometry=default_geometry(),
-            intrinsics=default_intrinsics(),
-            scene=default_scene_spec(seed),
-            classifier=default_classifier_spec(seed),
-            hcp=HcpConfig(
-                class_count=5,
-                rare_set=frozenset({5}),
-                alpha_o={5: 0.3},
-                alpha_target={2: 0.1, 3: 0.1, 4: 0.1, 5: 0.4},
-            ),
-            noise_a=0.03,
-            noise_b=0.06,
-            split_fraction=0.3,
-            seed=seed,
-        )
+        return cls.from_json_dict({"seed": seed})
 
     def __post_init__(self):
         check_rate("split_fraction", self.split_fraction)
-        check_noise(self.noise_a, self.noise_b)
+        check_noise(self.noise.a, self.noise.b)
         # an omitted section's default counts too: it describes the 5-class scene
         m = self.scene.class_count
         for name, part in (("classifier", self.classifier), ("hcp", self.hcp)):
@@ -144,31 +127,28 @@ class PipelineConfig:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "PipelineConfig":
-        """Build a config from a JSON document; absent sections default."""
-        seed = _scalar(doc, "seed", Seed, 0)
-        base = cls.default(seed)
+        """Build a config from a JSON document.  An absent field takes its
+        type's default, and a scene's or classifier's seed the top-level
+        seed; geometry, intrinsics and hcp are given whole or default whole."""
+        seed = decode(Seed, doc.get("seed", 0), "seed")
 
-        def section(key, kind, defaults={}, fixed={}):
-            if key not in doc:
-                return getattr(base, key)
-            return decode(kind, doc[key], key, defaults, fixed)
+        def section(key, kind, default=None, **fixed):
+            if key not in doc and default:
+                return default()
+            return decode(kind, doc.get(key, {}), key, {"seed": seed}, fixed)
 
-        geometry = section("geometry", GridGeometry)
+        geometry = section("geometry", GridGeometry, default_geometry)
         # the scene is always built on the top-level geometry
-        scene = decode(
-            SceneSpec, doc.get("scene", {}), "scene", vars(base.scene), fixed={"geometry": geometry}
-        )
-        noise = doc.get("noise", {})
+        scene = section("scene", SceneSpec, geometry=geometry)
         return cls(
             geometry=geometry,
-            intrinsics=section("intrinsics", CameraIntrinsics),
+            intrinsics=section("intrinsics", CameraIntrinsics, default_intrinsics),
             scene=scene,
-            classifier=section("classifier", ClassifierSpec, vars(base.classifier)),
+            classifier=section("classifier", ClassifierSpec),
             # the class count is the scene's, as its geometry is the top-level one
-            hcp=section("hcp", HcpConfig, fixed={"class_count": scene.class_count}),
-            noise_a=_scalar(noise, "a", float, base.noise_a, "noise"),
-            noise_b=_scalar(noise, "b", float, base.noise_b, "noise"),
-            split_fraction=_scalar(doc, "split_fraction", float, base.split_fraction),
+            hcp=section("hcp", HcpConfig, _default_hcp, class_count=scene.class_count),
+            noise=section("noise", DepthNoise),
+            split_fraction=decode(float, doc.get("split_fraction", 0.3), "split_fraction"),
             seed=seed,
         )
 
@@ -182,12 +162,9 @@ class PipelineConfig:
         return cls.from_json_dict(doc)
 
 
-def _scalar(doc, key: str, hint, default, where: str = ""):
-    """``doc[key]``, or ``default`` when absent, decoded as ``hint``;
-    ValidationError names ``where.key`` when ``doc`` or the value is malformed."""
-    if not isinstance(doc, Mapping):
-        raise ValidationError(f"{where} must be an object, got {type(doc).__name__}")
-    return decode(hint, doc.get(key, default), f"{where}.{key}" if where else key)
+def _default_hcp() -> HcpConfig:
+    """The default 5-class scene's rates; person (class 5) is its rare class."""
+    return HcpConfig(5, frozenset({5}), {5: 0.3}, {2: 0.1, 3: 0.1, 4: 0.1, 5: 0.4})
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +172,16 @@ def _scalar(doc, key: str, hint, default, where: str = ""):
 
 
 def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
-    """Generate a world, classify it, render its depths, write containers."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Generate a world, classify it, render its depths, write containers;
+    the output directory is made once they exist."""
     world = generate_scene(cfg.scene)
     softmax = synth_classifier(world, cfg.classifier)
     gt_depth, est = render_depth(
         world,
         cfg.intrinsics,
         cfg.geometry,
-        cfg.noise_a,
-        cfg.noise_b,
+        cfg.noise.a,
+        cfg.noise.b,
         seed=cfg.seed,
         threads=threads,
     )
@@ -215,6 +192,7 @@ def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
         "depth_est": os.path.join(out_dir, "depth_est.sscg"),
         "softmax": os.path.join(out_dir, "softmax.sscg"),
     }
+    os.makedirs(out_dir, exist_ok=True)
     write_grid(world, paths["labels"], geometry=cfg.geometry)
     write_grid(gt_depth, paths["depth_gt"])
     write_grid(est, paths["depth_est"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "ObjectTemplate",
     "SceneSpec",
     "ClassifierSpec",
+    "DepthNoise",
     "default_geometry",
     "default_intrinsics",
     "default_scene_spec",
@@ -90,12 +91,20 @@ class ObjectTemplate:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Scene recipe: geometry, target class fractions, object templates."""
+    """Scene recipe: geometry, target class fractions, object templates.  Every field
+    but the geometry defaults to a street-like scene: ground, buildings, cars, persons."""
 
     geometry: GridGeometry
-    class_count: int
-    class_mix: Mapping[int, float]
-    templates: tuple[ObjectTemplate, ...]
+    class_count: int = 5
+    class_mix: Mapping[int, float] = field(default_factory=lambda: {
+        2: 0.0156, 3: 0.030, 4: 0.0164, 5: 0.007,
+    })
+    templates: tuple[ObjectTemplate, ...] = field(default_factory=lambda: (
+        ObjectTemplate(2, "slab", ((0.2, 0.2), (12.8, 12.8), (3.2, 3.2))),
+        ObjectTemplate(3, "box", ((2.0, 3.0), (1.0, 2.0), (1.0, 2.0))),
+        ObjectTemplate(4, "box", ((0.6, 0.8), (1.8, 2.4), (0.8, 1.2))),
+        ObjectTemplate(5, "column", ((1.0, 1.8), (0.2, 0.2), (0.2, 0.2))),
+    ))
     seed: Seed = 0
 
     def __post_init__(self):
@@ -121,11 +130,23 @@ class ClassifierSpec:
     with i.i.d. standard Gumbel noise g.  ``sharpness`` is a single
     concentration or one per true class; temperatures above 1 soften
     (miscalibrate) every vector without changing its argmax.
+
+    The defaults are an imbalance-shaped surrogate for the default 5-class
+    scene.  Empty-class errors leak almost entirely into the ground class;
+    the person class is frequently smeared toward car/empty but predicted
+    very sharply when recognized as occupied.  Temperature 1.5 keeps every
+    output miscalibrated so calibration has real work to do.
     """
 
-    confusion: np.ndarray
-    sharpness: np.ndarray
-    temperature: float
+    confusion: np.ndarray = field(default_factory=lambda: np.array([
+        [0.965, 0.020, 0.006, 0.005, 0.004],
+        [0.020, 0.940, 0.020, 0.015, 0.005],
+        [0.030, 0.030, 0.910, 0.025, 0.005],
+        [0.030, 0.020, 0.030, 0.880, 0.040],
+        [0.150, 0.050, 0.050, 0.250, 0.500],
+    ]))
+    sharpness: np.ndarray = (3.0, 3.2, 3.2, 3.2, 8.5)
+    temperature: float = 1.5
     seed: Seed = 0
 
     def __post_init__(self):
@@ -159,44 +180,13 @@ def default_intrinsics() -> CameraIntrinsics:
 
 
 def default_scene_spec(seed: int = 0) -> SceneSpec:
-    """Street-like toy scene: ground layer, buildings, cars, sparse persons."""
-    return SceneSpec(
-        geometry=default_geometry(),
-        class_count=5,
-        class_mix={2: 0.0156, 3: 0.030, 4: 0.0164, 5: 0.007},
-        templates=(
-            ObjectTemplate(2, "slab", ((0.2, 0.2), (12.8, 12.8), (3.2, 3.2))),
-            ObjectTemplate(3, "box", ((2.0, 3.0), (1.0, 2.0), (1.0, 2.0))),
-            ObjectTemplate(4, "box", ((0.6, 0.8), (1.8, 2.4), (0.8, 1.2))),
-            ObjectTemplate(5, "column", ((1.0, 1.8), (0.2, 0.2), (0.2, 0.2))),
-        ),
-        seed=seed,
-    )
+    """Street-like toy scene on the default geometry: ``SceneSpec``'s defaults."""
+    return SceneSpec(default_geometry(), seed=seed)
 
 
 def default_classifier_spec(seed: int = 0) -> ClassifierSpec:
-    """Imbalance-shaped surrogate for the default 5-class scene.
-
-    Empty-class errors leak almost entirely into the ground class; the
-    person class is frequently smeared toward car/empty but predicted
-    very sharply when recognized as occupied.  Temperature 1.5 keeps
-    every output miscalibrated so calibration has real work to do.
-    """
-    confusion = np.array(
-        [
-            [0.965, 0.020, 0.006, 0.005, 0.004],
-            [0.020, 0.940, 0.020, 0.015, 0.005],
-            [0.030, 0.030, 0.910, 0.025, 0.005],
-            [0.030, 0.020, 0.030, 0.880, 0.040],
-            [0.150, 0.050, 0.050, 0.250, 0.500],
-        ]
-    )
-    return ClassifierSpec(
-        confusion=confusion,
-        sharpness=(3.0, 3.2, 3.2, 3.2, 8.5),
-        temperature=1.5,
-        seed=seed,
-    )
+    """Surrogate for the default 5-class scene: ``ClassifierSpec``'s defaults."""
+    return ClassifierSpec(seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +194,8 @@ def default_classifier_spec(seed: int = 0) -> ClassifierSpec:
 
 
 def _voxels(meters: float, edge: float) -> int:
+    if not meters / edge < math.inf:
+        raise GenerationError(f"{meters} m spans too many voxels of edge {edge} m to count")
     return max(1, int(round(meters / edge)))
 
 
@@ -293,6 +285,14 @@ def generate_scene(spec: SceneSpec) -> LabelGrid:
 
 # ---------------------------------------------------------------------------
 # depth rendering
+
+
+@dataclass(frozen=True)
+class DepthNoise:
+    """The depth estimator's noise ``sigma(d) = a + b*d``; ``check_noise`` holds its rule."""
+
+    a: float = 0.03
+    b: float = 0.06
 
 
 def check_noise(a: float, b: float) -> None:

@@ -24,6 +24,14 @@ from sscuq.container import SoftmaxRows, read_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid, ValidationError, decode, encode
 from sscuq.metrics import GATE_SCORES
 from sscuq.pipeline import CALIBRATORS, PipelineConfig, _Split, run_calibrate
+from sscuq.synth import (
+    ClassifierSpec,
+    DepthNoise,
+    SceneSpec,
+    default_classifier_spec,
+    default_geometry,
+    default_scene_spec,
+)
 
 
 def run_cli(*args):
@@ -314,6 +322,16 @@ def test_an_empty_calibration_set_is_a_degeneracy_for_every_method(
     assert main(["evaluate", "--model", str(tmp_path / "m.json"), *data]) == 0
     coverage = json.loads(capsys.readouterr().out)["report"]["per_class_coverage"]
     assert coverage == {str(y): 1.0 for y in range(2, 6)}
+
+
+def test_an_empty_hcp_calibration_names_each_absent_class_once(tmp_path, sim_dir, capsys):
+    # the rare class's gate quantile already says it has no record
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    argv = ["calibrate", "--method", "hcp", "--seed", "0", "--split", "0.00001", *data]
+    assert main([*argv, "--out", str(tmp_path / "m.json")]) == 0
+    warnings = json.loads(capsys.readouterr().out)["warnings"]
+    assert sorted(int(re.match(r"class (\d+) ", w)[1]) for w in warnings) == [2, 3, 4, 5]
 
 
 def test_strict_escalates_degenerate_sweep_target(tmp_path, sim_dir):
@@ -1091,6 +1109,71 @@ def test_documented_config_schema_decodes_to_the_defaults():
                     *doc["scene"]["templates"], doc["classifier"], doc["hcp"]):
         section["unknown"] = other
     _assert_same(PipelineConfig.from_json_dict(doc), PipelineConfig.default())
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_the_default_config_is_the_decode_of_its_seed_alone(seed):
+    cfg = PipelineConfig.default(seed)
+    _assert_same(cfg, PipelineConfig.from_json_dict({"seed": seed}))
+    # each default is a field default of its section's type
+    _assert_same(SceneSpec(default_geometry(), seed=seed), default_scene_spec(seed), "scene")
+    _assert_same(ClassifierSpec(seed=seed), default_classifier_spec(seed), "classifier")
+    # README's documented values are those defaults at any seed
+    doc = _readme_config()
+    for section in (doc, doc["scene"], doc["classifier"]):
+        section["seed"] = seed
+    _assert_same(PipelineConfig.from_json_dict(doc), cfg)
+
+
+def test_a_noise_section_defaults_field_by_field():
+    assert PipelineConfig.from_json_dict({"noise": {"b": 0.1}}).noise == DepthNoise(0.03, 0.1)
+    for noise, message in (
+        ([], "noise must be an object, got list"),
+        ({"a": "x"}, "noise.a is malformed: 'x' is not a number"),
+    ):
+        with pytest.raises(ValidationError) as info:
+            PipelineConfig.from_json_dict({"noise": noise})
+        assert str(info.value) == message
+
+
+def test_simulate_of_the_documented_config_writes_the_default_files(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_readme_config()))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "doc")]) == 0
+    assert main(["simulate", "--out-dir", str(tmp_path / "default")]) == 0
+    for name in ("labels.sscg", "depth_gt.sscg", "depth_est.sscg", "softmax.sscg"):
+        assert (tmp_path / "doc" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+# 2**59 uint16 labels are 1 EiB, more than any 57-bit address space maps: the
+# allocation fails at once whatever the overcommit policy and touches no memory
+_UNBUILDABLE_SCENES = {
+    "1 EiB of labels": (
+        {"dims": [1048576, 1048576, 524288], "voxel_edge": 0.2, "origin": [0, 0, 0]},
+        "Unable to allocate 1.00 EiB",
+    ),
+    "subnormal voxel edge": (
+        {"dims": [64, 64, 16], "voxel_edge": 1e-320, "origin": [0, 0, 0]},
+        "0.2 m spans too many voxels of edge 1e-320 m",
+    ),
+    "grid too small": (
+        {"dims": [4, 4, 4], "voxel_edge": 0.2, "origin": [0, 0, 0]},
+        "template for class 3 cannot fit its target",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNBUILDABLE_SCENES))
+def test_a_scene_that_cannot_be_built_exits_3_and_writes_nothing(tmp_path, capsys, case):
+    geometry, message = _UNBUILDABLE_SCENES[case]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": geometry}))
+    out = tmp_path / "o"
+    code, err = _main(capsys, "simulate", "--config", str(cfg), "--out-dir", str(out))
+    assert code == 3, err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith(message)
+    assert not out.exists()
 
 
 def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys):

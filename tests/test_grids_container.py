@@ -694,3 +694,16 @@ def test_atomic_write_gives_open_permissions(tmp_path):
     finally:
         os.umask(umask)
     assert os.stat(tmp_path / "a").st_mode & 0o777 == os.stat(tmp_path / "b").st_mode & 0o777
+
+
+def test_decode_fills_a_missing_field_from_its_default_factory():
+    import dataclasses
+    from typing import Mapping
+
+    @dataclasses.dataclass(frozen=True)
+    class Section:
+        rates: Mapping[int, float] = dataclasses.field(default_factory=lambda: {2: 0.5})
+        seed: int = 0
+
+    assert grids.decode(Section, {"seed": 3}, "section") == Section({2: 0.5}, 3)
+    assert grids.decode(Section, {"rates": {"4": 1}}, "section").rates == {4: 1.0}
