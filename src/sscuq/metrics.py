@@ -126,13 +126,11 @@ def cov_gap(
     return float(np.mean(gaps)) if gaps else None
 
 
-def avg_size(member: np.ndarray) -> float:
+def avg_size(member: np.ndarray) -> float | None:
     """Mean prediction-set cardinality, never counting the empty class."""
     member = _flat_member(member)
-    if member.shape[0] == 0:
-        raise ValueError("no prediction sets given")
     # the mean of the per-set counts, without an int64 count per set
-    return np.count_nonzero(member[:, 1:]) / member.shape[0]
+    return _ratio(np.count_nonzero(member[:, 1:]), member.shape[0])
 
 
 # gate score name -> score(vectors, rare class or classes, HcpConfig); low

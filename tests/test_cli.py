@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sscuq
 from sscuq import pipeline
 from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.conformal import _MODEL_TYPES, load_model
@@ -322,6 +323,27 @@ def test_an_empty_calibration_set_is_a_degeneracy_for_every_method(
     assert main(["evaluate", "--model", str(tmp_path / "m.json"), *data]) == 0
     coverage = json.loads(capsys.readouterr().out)["report"]["per_class_coverage"]
     assert coverage == {str(y): 1.0 for y in range(2, 6)}
+
+
+def test_an_empty_test_split_reports_absent_ratios(tmp_path, sim_dir, capsys):
+    # seed 0 puts all 65,536 voxels below this fraction: no voxel is left to test
+    out, _ = sim_dir
+    data = ["--softmax", str(out / "softmax.sscg"), "--labels", str(out / "labels.sscg")]
+    model = str(tmp_path / "m.json")
+    assert main(["calibrate", "--seed", "0", "--split", "0.99999999", *data, "--out", model]) == 0
+    assert json.loads(capsys.readouterr().out)["calibration_records"] == 64 * 64 * 16
+    argv = ["evaluate", "--model", model, *data]
+    argv += ["--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["test_records"] == 0
+    report = summary["report"]
+    assert json.loads((tmp_path / "r.json").read_text()) == report
+    for key, value in report.items():
+        assert value is None or set(value.values()) == {None}, key
+    with open(tmp_path / "r.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert all(cell == "" for row in rows[1:] for cell in row[2:])
 
 
 def test_an_empty_hcp_calibration_names_each_absent_class_once(tmp_path, sim_dir, capsys):
@@ -1054,6 +1076,22 @@ def test_the_library_raises_validation_error_for_a_malformed_config_value():
         dataclasses.replace(PipelineConfig.default(), split_fraction=1.5)
     with pytest.raises(ValidationError, match=r"^noise\.a and noise\.b must be finite"):
         PipelineConfig.from_json_dict({"noise": {"b": math.inf}})
+
+
+_ROOT_MODULES = ("grids", "container", "depth", "projection", "conformal", "metrics", "synth",
+                 "pipeline")
+
+
+def test_the_package_root_reexports_each_modules_public_names():
+    seen: dict[str, str] = {}
+    for name in _ROOT_MODULES:
+        module = getattr(sscuq, name)
+        for public in module.__all__:
+            assert public not in seen, f"{public} is in {seen.get(public)} and {name}"
+            seen[public] = name
+            assert getattr(sscuq, public) is getattr(module, public), public
+    # the counter-based generators stay off the root
+    assert not set(sscuq.rng.__all__) & set(vars(sscuq))
 
 
 def test_integral_float_in_integer_field_is_accepted():

@@ -144,6 +144,11 @@ def test_avg_size_ignores_empty_class_column():
     assert avg_size(member) == 0.0
 
 
+def test_avg_size_of_no_prediction_sets_is_none():
+    # like every other ratio, an empty denominator is absent, not an error
+    assert avg_size(np.zeros((0, 4), dtype=bool)) is None
+
+
 def test_sweep_rows_monotone_gate_and_recall():
     world, softmax, cal, mask, test_labels, test_probs = scene_benchmark(3)
     cfg = default_hcp_config()
