@@ -12,6 +12,7 @@ import numpy as np
 
 from sscuq import (
     DepthEstimate,
+    DepthNoise,
     GroundTruthDepth,
     build_binary_grid,
     build_prob_grid,
@@ -36,7 +37,7 @@ fractions = {
 }
 print("scene fractions:", {y: round(f, 4) for y, f in fractions.items()})
 
-gt, est = render_depth(world, intr, geom, noise_a=0.03, noise_b=0.06, seed=42)
+gt, est = render_depth(world, intr, geom, DepthNoise(a=0.03, b=0.06), seed=42)
 print(f"rendered {int(est.valid_mask.sum())} valid pixels of {est.mean.size}")
 
 report = kl_loss(gt, est)

@@ -119,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "conformal prediction on voxel grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    split_help = f"calibration fraction (default {PipelineConfig.split_fraction})"
 
     p = sub.add_parser("simulate", help="generate a synthetic world, depths, softmax")
     _add_common(p)
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--method", choices=tuple(CALIBRATORS), default="hcp")
     p.add_argument("--out", required=True)
-    p.add_argument("--split", type=float, help="calibration fraction (default 0.3)")
+    p.add_argument("--split", type=float, help=split_help)
     p.add_argument(
         "--alpha-target",
         action="append",
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=tuple(GATE_SCORES), default="kl")
     p.add_argument("--targets", required=True, help="comma-separated recalls in (0, 1)")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--split", type=float, help="calibration fraction (default 0.3)")
+    p.add_argument("--split", type=float, help=split_help)
 
     return parser
 

@@ -96,7 +96,7 @@ def score_occupied(f):
     return check_softmax_shape(f)[..., 0].astype(np.float64)
 
 
-def score_kl(f, epsilon: float = 0.01):
+def score_kl(f, epsilon: float):
     """KL divergence of the vector from the occupancy reference {eps, 1, .., 1}.
 
     Equals ``p1*log(p1/eps) + sum_{i>=2} p_i*log(p_i)`` with the

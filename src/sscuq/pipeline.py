@@ -104,22 +104,26 @@ def split_mask(n_voxels: int, fraction: float, seed: int) -> np.ndarray:
 class PipelineConfig:
     """Validated bundle of everything a command needs; ValidationError names a bad value."""
 
-    geometry: GridGeometry
     intrinsics: CameraIntrinsics
     scene: SceneSpec
     classifier: ClassifierSpec
     hcp: HcpConfig
     noise: DepthNoise
-    split_fraction: float
     seed: int
+    split_fraction: float = 0.3
 
     @classmethod
     def default(cls, seed: int = 0) -> "PipelineConfig":
         return cls.from_json_dict({"seed": seed})
 
+    @property
+    def geometry(self) -> GridGeometry:
+        """The one grid: the scene's, which every command renders and writes through."""
+        return self.scene.geometry
+
     def __post_init__(self):
         check_rate("split_fraction", self.split_fraction)
-        check_noise(self.noise.a, self.noise.b)
+        check_noise(self.noise)
         # an omitted section's default counts too: it describes the 5-class scene
         m = self.scene.class_count
         for name, part in (("classifier", self.classifier), ("hcp", self.hcp)):
@@ -137,19 +141,20 @@ class PipelineConfig:
                 return default()
             return decode(kind, doc.get(key, {}), key, {"seed": seed}, fixed)
 
+        # the top-level geometry is the scene's, the one grid cfg.geometry returns
         geometry = section("geometry", GridGeometry, default_geometry)
-        # the scene is always built on the top-level geometry
         scene = section("scene", SceneSpec, geometry=geometry)
         return cls(
-            geometry=geometry,
             intrinsics=section("intrinsics", CameraIntrinsics, default_intrinsics),
             scene=scene,
             classifier=section("classifier", ClassifierSpec),
-            # the class count is the scene's, as its geometry is the top-level one
+            # the class count is the scene's, as the grid is
             hcp=section("hcp", HcpConfig, _default_hcp, class_count=scene.class_count),
             noise=section("noise", DepthNoise),
-            split_fraction=decode(float, doc.get("split_fraction", 0.3), "split_fraction"),
             seed=seed,
+            split_fraction=decode(
+                float, doc.get("split_fraction", cls.split_fraction), "split_fraction"
+            ),
         )
 
     @classmethod
@@ -177,13 +182,7 @@ def run_simulate(cfg: PipelineConfig, out_dir: str, threads: int = 1) -> dict:
     world = generate_scene(cfg.scene)
     softmax = synth_classifier(world, cfg.classifier)
     gt_depth, est = render_depth(
-        world,
-        cfg.intrinsics,
-        cfg.geometry,
-        cfg.noise.a,
-        cfg.noise.b,
-        seed=cfg.seed,
-        threads=threads,
+        world, cfg.intrinsics, cfg.geometry, cfg.noise, seed=cfg.seed, threads=threads
     )
 
     paths = {

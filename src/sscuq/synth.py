@@ -133,9 +133,11 @@ class ClassifierSpec:
 
     The defaults are an imbalance-shaped surrogate for the default 5-class
     scene.  Empty-class errors leak almost entirely into the ground class;
-    the person class is frequently smeared toward car/empty but predicted
-    very sharply when recognized as occupied.  Temperature 1.5 keeps every
-    output miscalibrated so calibration has real work to do.
+    the person class is frequently smeared toward car/empty.  Its sharpness
+    8.5 goes to whichever class its row draws, so a person voxel drawn as
+    empty is as confident in empty as one drawn as person is in person: its
+    empty logit gets 8.5 where a true empty voxel's gets 3.0.  Temperature
+    1.5 keeps every output miscalibrated so calibration has real work to do.
     """
 
     confusion: np.ndarray = field(default_factory=lambda: np.array([
@@ -295,9 +297,9 @@ class DepthNoise:
     b: float = 0.06
 
 
-def check_noise(a: float, b: float) -> None:
+def check_noise(noise: DepthNoise) -> None:
     """Raise ValidationError unless ``sigma(d) = a + b*d`` has finite a, b >= 0, a + b > 0."""
-    if not (0 <= a < math.inf and 0 <= b < math.inf and a + b > 0):
+    if not (0 <= noise.a < math.inf and 0 <= noise.b < math.inf and noise.a + noise.b > 0):
         raise ValidationError("noise.a and noise.b must be finite and >= 0 with a positive sum")
 
 
@@ -305,8 +307,7 @@ def render_depth(
     world: LabelGrid,
     intr: CameraIntrinsics,
     geom: GridGeometry,
-    noise_a: float,
-    noise_b: float,
+    noise: DepthNoise,
     seed: int = 0,
     threads: int = 1,
 ):
@@ -315,12 +316,12 @@ def render_depth(
     The true depth of a pixel is the entry depth of the first occupied
     voxel its ray crosses; rays that hit nothing give invalid pixels.
     The estimate adds Gaussian noise with standard deviation
-    ``sigma(d) = noise_a + noise_b * d`` and reports exactly that sigma,
+    ``sigma(d) = noise.a + noise.b * d`` and reports exactly that sigma,
     so standardized residuals are standard normal by construction.
     ``threads`` worker threads cast chunks of rays; the result does not
     depend on it.
     """
-    check_noise(noise_a, noise_b)
+    check_noise(noise)
     if world.dims != geom.dims:
         raise ValueError(f"world dims {world.dims} != geometry dims {geom.dims}")
     shape = (intr.height, intr.width)
@@ -341,9 +342,9 @@ def render_depth(
     _cast_rays(np.ones(shape, dtype=bool), intr, geom, threads, first_hits, store)
     gt = GroundTruthDepth(depth, valid)
 
-    sigma = noise_a + noise_b * depth
-    noise = rng.normals(rng.derive_seed(seed, rng.TAG_DEPTH), np.arange(depth.size))
-    mean = depth + sigma * noise.reshape(depth.shape)
+    sigma = noise.a + noise.b * depth
+    z = rng.normals(rng.derive_seed(seed, rng.TAG_DEPTH), np.arange(depth.size))
+    mean = depth + sigma * z.reshape(depth.shape)
     est_valid = valid & (mean > 0)
     mean = np.where(est_valid, mean, 0.0)
     sigma = np.where(est_valid, sigma, 0.0)

@@ -21,10 +21,17 @@ import sscuq
 from sscuq import pipeline
 from sscuq.cli import _apply_overrides, build_parser, main
 from sscuq.conformal import _MODEL_TYPES, load_model
-from sscuq.container import SoftmaxRows, read_grid
+from sscuq.container import SoftmaxRows, read_grid, write_grid
 from sscuq.grids import BinaryOccupancyGrid, ProbOccupancyGrid, ValidationError, decode, encode
 from sscuq.metrics import GATE_SCORES
-from sscuq.pipeline import CALIBRATORS, PipelineConfig, _Split, run_calibrate
+from sscuq.pipeline import (
+    CALIBRATORS,
+    PipelineConfig,
+    _Split,
+    run_calibrate,
+    run_project,
+    run_simulate,
+)
 from sscuq.synth import (
     ClassifierSpec,
     DepthNoise,
@@ -32,6 +39,8 @@ from sscuq.synth import (
     default_classifier_spec,
     default_geometry,
     default_scene_spec,
+    generate_scene,
+    render_depth,
 )
 
 
@@ -1172,6 +1181,37 @@ def test_a_noise_section_defaults_field_by_field():
         with pytest.raises(ValidationError) as info:
             PipelineConfig.from_json_dict({"noise": noise})
         assert str(info.value) == message
+
+
+def test_a_config_has_one_grid_the_scenes():
+    cfg = PipelineConfig.default()
+    assert "geometry" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(cfg, geometry=dataclasses.replace(cfg.geometry, voxel_edge=0.25))
+    geometry = {"dims": [64, 32, 16], "voxel_edge": 0.25, "origin": [-11.2, -6.4, 0.4]}
+    for doc in ({}, {"geometry": geometry}, {"geometry": geometry, "scene": {"seed": 3}}):
+        cfg = PipelineConfig.from_json_dict(doc)
+        assert cfg.geometry is cfg.scene.geometry
+    assert cfg.geometry.dims == (64, 32, 16) and cfg.geometry.voxel_edge == 0.25
+
+
+def _header(path) -> dict:
+    blob = Path(path).read_bytes()
+    return json.loads(blob[16 : 16 + int.from_bytes(blob[8:16], "little")])
+
+
+def test_simulate_renders_and_stamps_the_scenes_grid(tmp_path):
+    cfg = PipelineConfig.default()
+    grid = dataclasses.replace(cfg.geometry, voxel_edge=0.25)
+    cfg = dataclasses.replace(cfg, scene=dataclasses.replace(cfg.scene, geometry=grid))
+    paths = run_simulate(cfg, str(tmp_path))["paths"]
+    run_project(paths["depth_est"], cfg, str(tmp_path / "prob.sscg"))
+    for path in (paths["labels"], paths["softmax"], tmp_path / "prob.sscg"):
+        assert _header(path)["voxel_edge"] == 0.25, path
+    # the depths are rendered through the scene's grid, not a second one
+    _, est = render_depth(generate_scene(cfg.scene), cfg.intrinsics, grid, cfg.noise, seed=cfg.seed)
+    write_grid(est, tmp_path / "want.sscg")
+    assert Path(paths["depth_est"]).read_bytes() == (tmp_path / "want.sscg").read_bytes()
 
 
 def test_simulate_of_the_documented_config_writes_the_default_files(tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_score_kl_rejects_bad_epsilon():
 
 
 def test_score_kl_of_nan_is_nan():
-    scores = score_kl(np.array([[np.nan, 0.5, 0.5], [0.2, np.nan, 0.8], [0.0, 1.0, 0.0]]))
+    scores = score_kl(np.array([[np.nan, 0.5, 0.5], [0.2, np.nan, 0.8], [0.0, 1.0, 0.0]]), 0.01)
     assert np.isnan(scores[:2]).all() and scores[2] == 0.0
 
 

@@ -24,6 +24,7 @@ from sscuq.projection import (
     traverse_ray,
 )
 from sscuq.synth import (
+    DepthNoise,
     default_geometry,
     default_intrinsics,
     default_scene_spec,
@@ -333,7 +334,7 @@ def test_render_depth_first_hit_equals_oracle(threads):
 
     occupied = uniforms(79, np.arange(10 * 12 * 9)).reshape(geom.dims) < 0.03
     world = LabelGrid(np.where(occupied, 2, 1).astype(np.uint8), class_count=2)
-    gt, _ = render_depth(world, intr, geom, 0.05, 0.0, seed=1, threads=threads)
+    gt, _ = render_depth(world, intr, geom, DepthNoise(0.05, 0.0), seed=1, threads=threads)
     want = np.zeros((intr.height, intr.width))
     for h in range(intr.height):
         for w in range(intr.width):
@@ -522,7 +523,7 @@ def test_binary_true_depths_land_in_occupied_voxels(seed):
     # render_depth's depth is the entry depth of the first occupied voxel
     intr, geom = default_intrinsics(), default_geometry()
     world = generate_scene(default_scene_spec(seed))
-    gt, _ = render_depth(world, intr, geom, 0.03, 0.06, seed=seed)
+    gt, _ = render_depth(world, intr, geom, DepthNoise(0.03, 0.06), seed=seed)
     grid = build_binary_grid(gt, intr, geom)
     assert grid.values.any()
     assert world.occupied_mask()[grid.as_bool()].all()

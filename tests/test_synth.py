@@ -8,6 +8,7 @@ from sscuq import rng, synth
 from sscuq.grids import GridGeometry, LabelGrid, ValidationError
 from sscuq.synth import (
     ClassifierSpec,
+    DepthNoise,
     GenerationError,
     ObjectTemplate,
     SceneSpec,
@@ -111,7 +112,7 @@ def test_scene_block_draws_match_one_draw_per_call(monkeypatch, block):
 def test_render_empty_world_all_invalid():
     geom = default_geometry()
     world = LabelGrid(np.ones(geom.dims), class_count=5)
-    gt, est = render_depth(world, default_intrinsics(), geom, 0.1, 0.0, seed=1)
+    gt, est = render_depth(world, default_intrinsics(), geom, DepthNoise(0.1, 0.0), seed=1)
     assert not gt.valid_mask.any()
     assert not est.valid_mask.any()
 
@@ -119,7 +120,7 @@ def test_render_empty_world_all_invalid():
 def test_render_tiny_noise_estimate_matches_truth():
     world = generate_scene(default_scene_spec(seed=2))
     geom = default_geometry()
-    gt, est = render_depth(world, default_intrinsics(), geom, 1e-9, 0.0, seed=3)
+    gt, est = render_depth(world, default_intrinsics(), geom, DepthNoise(1e-9, 0.0), seed=3)
     assert gt.valid_mask.any()
     sel = est.valid_mask
     assert np.allclose(est.mean[sel], gt.depth[sel], atol=1e-7)
@@ -128,7 +129,7 @@ def test_render_tiny_noise_estimate_matches_truth():
 def test_render_rejects_zero_noise():
     world = generate_scene(default_scene_spec(seed=2))
     with pytest.raises(ValueError):
-        render_depth(world, default_intrinsics(), default_geometry(), 0.0, 0.0)
+        render_depth(world, default_intrinsics(), default_geometry(), DepthNoise(0.0, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -138,7 +139,7 @@ def test_render_refuses_noise_that_is_not_finite(noise):
     # a NaN used to render an estimate with no valid pixel, and no error
     world = generate_scene(default_scene_spec(seed=0))
     with pytest.raises(ValidationError) as info:
-        render_depth(world, default_intrinsics(), default_geometry(), *noise)
+        render_depth(world, default_intrinsics(), default_geometry(), DepthNoise(*noise))
     assert str(info.value) == "noise.a and noise.b must be finite and >= 0 with a positive sum"
 
 
@@ -148,7 +149,7 @@ def test_render_wall_residuals_standard_normal():
     labels = np.ones(geom.dims, dtype=np.uint16)
     labels[:, :, 10] = 3  # wall at z in [2.4, 2.6)
     world = LabelGrid(labels, class_count=5)
-    gt, est = render_depth(world, default_intrinsics(), geom, 0.2, 0.0, seed=4)
+    gt, est = render_depth(world, default_intrinsics(), geom, DepthNoise(0.2, 0.0), seed=4)
     sel = est.valid_mask
     p = int(sel.sum())
     assert p > 1000
@@ -162,7 +163,7 @@ def test_render_first_hit_depth_is_wall_entry():
     labels = np.ones(geom.dims, dtype=np.uint16)
     labels[:, :, 10] = 3
     world = LabelGrid(labels, class_count=5)
-    gt, _ = render_depth(world, default_intrinsics(), geom, 0.05, 0.0, seed=5)
+    gt, _ = render_depth(world, default_intrinsics(), geom, DepthNoise(0.05, 0.0), seed=5)
     h = int(default_intrinsics().c_h)
     w = int(default_intrinsics().c_w)
     # principal-ish ray enters the wall slab at z = 0.4 + 10 * 0.2
